@@ -34,9 +34,14 @@ from .duality import (
     verify_complementary_slackness,
 )
 from .errors import (
+    AuditMismatch,
     BracketFailure,
+    CountMismatch,
     DegenerateBase,
+    FeasibilityCheckFailed,
     InfeasibleProblem,
+    InfeasibleStart,
+    PivotLimit,
     RankDeficient,
     ShareSenseError,
     SingularBasis,

@@ -24,6 +24,7 @@ import numpy as np
 from . import rng as rng_streams
 from .arrivals import empirical_violation_probability
 from .duality import closed_form_certificate
+from .errors import AuditMismatch, CountMismatch
 from .lp_core import (
     DEFAULT_TOLS,
     AgentProfile,
@@ -216,7 +217,7 @@ def run_trial(
         cert = closed_form_certificate(lp, solution, tol)
         s_dual = count_active_dual(lp, cert, tol)
         if s_dual != s_star:
-            raise ArithmeticError(
+            raise CountMismatch(
                 f"trial {trial_index}: primal count {s_star} != dual count {s_dual} on a clean solve"
             )
 
@@ -232,7 +233,7 @@ def run_trial(
         allow_flagged=True,
     )
     if estimate.audit_mismatches:
-        raise ArithmeticError(
+        raise AuditMismatch(
             f"trial {trial_index}: {estimate.audit_mismatches} audit re-solves disagreed with the certificate"
         )
 

@@ -30,3 +30,27 @@ class BracketFailure(ShareSenseError):
 class DegenerateBase(ShareSenseError):
     """The base solution carries degeneracy/non-uniqueness flags, so the
     arrival certificate would be unreliable."""
+
+
+class InfeasibleStart(ShareSenseError):
+    """A starting basis handed to the simplex puts a basic variable outside
+    its bounds, so phase 2 cannot begin from it."""
+
+
+class PivotLimit(ShareSenseError):
+    """The simplex did not reach optimality within its pivot budget."""
+
+
+class FeasibilityCheckFailed(ShareSenseError):
+    """A solution the simplex returned does not satisfy ``A x = b`` within
+    the feasibility tolerance."""
+
+
+class AuditMismatch(ShareSenseError):
+    """A re-solve of the enlarged problem disagreed with the reduced-cost
+    certificate of an arrival."""
+
+
+class CountMismatch(ShareSenseError):
+    """The primal and dual reads of the active-agent count disagree on a
+    clean solve."""

@@ -11,7 +11,9 @@ as genuine extended reals, never as large sentinel numbers.
 
 The solver is a dense bounded-variable revised simplex with a phase-1
 feasibility stage (artificial variables on rows not covered by a slack/crash
-column). It targets desk-scale problems: hundreds of variables, a handful of
+column). A caller holding a feasible basis, such as the optimum of the same
+problem before a column was appended, can pass it as ``start`` and go straight
+to phase 2. It targets desk-scale problems: hundreds of variables, a handful of
 budget rows. Rows of ``A`` and ``b`` are rescaled to unit max-norm before
 pivoting because realistic instances mix magnitudes like 1 and 1/7000.
 """
@@ -23,7 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    FeasibilityCheckFailed,
     InfeasibleProblem,
+    InfeasibleStart,
+    PivotLimit,
     RankDeficient,
     SingularBasis,
     UnboundedProblem,
@@ -378,7 +383,7 @@ def _bounded_simplex(A, b, c, d, basis, vstat, tol: Tolerances, max_iter: int):
             else:
                 degen_run = 0
         else:
-            raise ArithmeticError("simplex failed to terminate within the pivot limit")
+            raise PivotLimit(f"simplex failed to terminate within {max_iter} pivots")
 
     x = _nonbasic_values(vstat, d)
     x[basis] = xB
@@ -457,8 +462,40 @@ def _phase1(A, b, d, tol: Tolerances, max_iter: int):
     return basis, vstat
 
 
-def solve_primal(lp: AssembledLP, tol: Tolerances = DEFAULT_TOLS) -> PrimalSolution:
+def _start_basis(A, b, d, start: BasisPartition, tol: Tolerances):
+    """Basis and statuses of a caller's partition; raise InfeasibleStart
+    unless its basic values lie within their bounds."""
+    p, ell = A.shape
+    basis = np.array(start.basic, dtype=int)
+    indices = np.concatenate([basis, start.at_lower, start.at_upper]).astype(int)
+    if basis.size != p or not np.array_equal(np.sort(indices), np.arange(ell)):
+        raise ValueError(
+            f"start must partition {ell} columns with {p} basic, got "
+            f"{basis.size} basic of {indices.size} indices"
+        )
+    vstat = np.full(ell, _AT_LOWER, dtype=int)
+    vstat[list(start.at_upper)] = _AT_UPPER
+    vstat[basis] = _BASIC
+    with np.errstate(invalid="ignore"):
+        xB = _invert_basis(A[:, basis]) @ (b - A @ _nonbasic_values(vstat, d))
+        inside = np.all(xB >= -tol.feas) and np.all(xB <= d[basis] + tol.feas)
+    if not inside:
+        raise InfeasibleStart(
+            f"start basis puts a basic variable outside its bounds: x_B = {xB}"
+        )
+    return basis, vstat
+
+
+def solve_primal(
+    lp: AssembledLP,
+    tol: Tolerances = DEFAULT_TOLS,
+    start: BasisPartition | None = None,
+) -> PrimalSolution:
     """Solve the assembled LP to an optimal basic feasible solution.
+
+    ``start`` replaces phase 1 by a known feasible partition of the columns;
+    phase 2 pivots on from there. A start whose basic values leave their
+    bounds raises InfeasibleStart: there is no fallback to phase 1.
 
     Degeneracy and non-uniqueness do not abort: they set flags on the returned
     solution so callers can discard the instance. Infeasibility and
@@ -474,12 +511,15 @@ def solve_primal(lp: AssembledLP, tol: Tolerances = DEFAULT_TOLS) -> PrimalSolut
     bs = lp.b / scale
 
     max_iter = 2000 + 60 * (ell + p)
-    basis, vstat = _phase1(As, bs, lp.d, tol, max_iter)
+    if start is None:
+        basis, vstat = _phase1(As, bs, lp.d, tol, max_iter)
+    else:
+        basis, vstat = _start_basis(As, bs, lp.d, start, tol)
     x, _, r = _bounded_simplex(As, bs, lp.c, lp.d, basis, vstat, tol, max_iter)
 
     residual = float(np.max(np.abs(As @ x - bs), initial=0.0))
     if residual > 10.0 * tol.feas:
-        raise ArithmeticError(
+        raise FeasibilityCheckFailed(
             f"solution failed the feasibility check: scaled residual {residual:.3e}"
         )
 

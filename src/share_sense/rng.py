@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-PURPOSES = {"agents": 0, "arrivals": 1, "audit": 2}
+PURPOSES = {"agents": 0, "arrivals": 1}
 
 
 def stream(seed: int, trial: int, purpose: str) -> np.random.Generator:

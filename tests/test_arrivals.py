@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import lp_oracles as oracle
 from share_sense import (
     AgentProfile,
+    AssembledLP,
     CargoArrivalSampler,
     CargoConfig,
     DegenerateBase,
@@ -17,6 +21,8 @@ from share_sense import (
     solve_augmented,
     solve_primal,
 )
+from share_sense import arrivals
+from share_sense.lp_core import DEFAULT_TOLS
 from share_sense.rng import stream
 from test_lp_core import toy_problem
 
@@ -105,6 +111,111 @@ class TestSolveAugmented:
             assert plus.objective <= sol.objective + 1e-9
 
 
+def flagged_or_clean_instance(rng, shape):
+    """A random instance solved once. ``duplicate`` clones a basic agent, so
+    its reduced cost vanishes (non-unique optimum); ``vertex`` moves the
+    budgets so that a basic variable of the optimum sits at zero
+    (degenerate optimum); ``random`` is usually clean."""
+    lp = assemble(oracle.random_sharing_problem(rng))
+    sol = solve_primal(lp)
+    basic_agents = [j for j in sol.partition.basic if j >= lp.n0]
+    if shape == "duplicate" and basic_agents:
+        j = basic_agents[0]
+        clone = AgentProfile(n=1, c=lp.c[j : j + 1], d=lp.d[j : j + 1], A=lp.A[:, j : j + 1])
+        lp = augment(lp, clone)
+    elif shape == "vertex":
+        x = sol.x.copy()
+        x[sol.partition.basic[0]] = 0.0
+        lp = AssembledLP(
+            A=lp.A, b=lp.A @ x, c=lp.c, d=lp.d, n0=lp.n0, agent_spans=lp.agent_spans
+        )
+    return lp, solve_primal(lp)
+
+
+def warm_test_newcomer(rng, lp, sol, kind):
+    """``tie`` clones a basic column (zero reduced cost); ``wide`` has two
+    columns, the second without an upper limit."""
+    if kind == "tie":
+        j = sol.partition.basic[int(rng.integers(lp.p))]
+        return AgentProfile(n=1, c=lp.c[j : j + 1], d=[rng.uniform(0.3, 3.0)], A=lp.A[:, j : j + 1])
+    if kind == "wide":
+        return AgentProfile(
+            n=2,
+            c=rng.uniform(-4.0, 3.0, 2),
+            d=[rng.uniform(0.3, 3.0), np.inf],
+            A=rng.uniform(0.05, 1.5, (lp.p, 2)),
+        )
+    return oracle.random_agent(rng, lp.p)
+
+
+class TestWarmResolve:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "duplicate", "vertex"]),
+        kind=st.sampled_from(["random", "tie", "wide"]),
+    )
+    def test_warm_matches_cold(self, seed, shape, kind):
+        rng = np.random.default_rng(seed)
+        lp, sol = flagged_or_clean_instance(rng, shape)
+        newcomer = warm_test_newcomer(rng, lp, sol, kind)
+        verdict = changes_solution(lp, sol, newcomer, allow_flagged=True)
+        cold = solve_augmented(lp, newcomer)
+        warm = solve_augmented(lp, newcomer, base=sol)
+        assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+        assert warm.objective <= sol.objective + 1e-9 * (1.0 + abs(sol.objective))
+        # a tied newcomer may enter one optimal vertex and not another, so
+        # only the untied verdicts (the ones the audit re-solves) must match
+        if not verdict.tie:
+            says = arrivals._resolve_says_changed
+            assert says(sol, warm, DEFAULT_TOLS) == says(sol, cold, DEFAULT_TOLS)
+            # on a degenerate base a negative reduced cost can buy a zero step
+            if sol.clean:
+                assert says(sol, warm, DEFAULT_TOLS) == verdict.changes
+
+    def test_generators_reach_flagged_bases_and_ties(self):
+        rng = np.random.default_rng(3)
+        flagged = {"duplicate": 0, "vertex": 0}
+        for shape in flagged:
+            for _ in range(30):
+                _, sol = flagged_or_clean_instance(rng, shape)
+                flagged[shape] += not sol.clean
+        assert min(flagged.values()) >= 10, flagged
+        lp, sol = flagged_or_clean_instance(rng, "random")
+        verdict = changes_solution(
+            lp, sol, warm_test_newcomer(rng, lp, sol, "tie"), allow_flagged=True
+        )
+        assert verdict.tie
+
+    def test_base_optimum_is_the_start(self, toy):
+        lp, sol = toy
+        inert = AgentProfile(n=1, c=[2.0], d=[1.0], A=[[1.0]])
+        plus = solve_augmented(lp, inert, base=sol)
+        assert np.array_equal(plus.x[:-1], sol.x)
+        assert plus.partition.basic == sol.partition.basic
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    p=st.integers(1, 3),
+    draws=st.integers(1, 40),
+)
+def test_multiplier_form_is_the_negated_reduced_cost(data, p, draws):
+    """The multiplier form max(0, -c - lam^T A) is max(0, -rc) to the last
+    bit, so it cannot classify an arrival differently from rc < -tol.rc.
+    That is why the batch path carries no multiplier re-check."""
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    lam = data.draw(hnp.arrays(float, p, elements=finite))
+    cs = data.draw(hnp.arrays(float, draws, elements=finite))
+    As = data.draw(hnp.arrays(float, (p, draws), elements=finite))
+    rc = cs + lam @ As
+    gain = np.maximum(0.0, -cs - lam @ As)
+    assert np.array_equal(gain, np.maximum(0.0, -rc))
+    gain[gain <= DEFAULT_TOLS.rc] = 0.0
+    assert np.array_equal(gain > 0.0, rc < -DEFAULT_TOLS.rc)
+
+
 class TestCertificateMatchesResolve:
     @pytest.mark.parametrize("seed", range(5))
     def test_agreement_campaign(self, seed):
@@ -186,13 +297,44 @@ class TestEmpiricalViolationProbability:
                 return AgentProfile(n=1, c=cs[i : i + 1], d=ds[i : i + 1], A=As[:, i : i + 1])
 
         est_batch = empirical_violation_probability(
-            lp, sol, Replay(True), 400, np.random.default_rng(0)
+            lp, sol, Replay(True), 400, np.random.default_rng(0), audit_fraction=0.05
         )
         est_loop = empirical_violation_probability(
-            lp, sol, Replay(False), 400, np.random.default_rng(0)
+            lp, sol, Replay(False), 400, np.random.default_rng(0), audit_fraction=0.05
         )
         assert est_batch.changes == est_loop.changes
         assert est_batch.ties == est_loop.ties
+        assert est_batch == est_loop
+        assert est_batch.audited > 0 and est_batch.audit_mismatches == 0
+
+    def test_audit_resolves_warm_from_the_base(self, toy, monkeypatch):
+        lp, sol = toy
+        starts = []
+        real = arrivals.solve_primal
+
+        def spy(lp_, tol, start=None):
+            starts.append(start)
+            return real(lp_, tol, start=start)
+
+        monkeypatch.setattr(arrivals, "solve_primal", spy)
+        empirical_violation_probability(
+            lp, sol, lambda rng: profitable_newcomer(), 10, np.random.default_rng(0),
+            audit_fraction=0.5,
+        )
+        assert len(starts) == 5
+        assert all(s.basic == sol.partition.basic for s in starts)
+        assert all(s.at_lower == sol.partition.at_lower + (lp.ell,) for s in starts)
+
+    def test_audit_counts_a_disagreeing_resolve(self, toy, monkeypatch):
+        lp, sol = toy
+        real = arrivals._resolve_says_changed
+        monkeypatch.setattr(arrivals, "_resolve_says_changed", lambda *a: not real(*a))
+        est = empirical_violation_probability(
+            lp, sol, lambda rng: profitable_newcomer(), 10, np.random.default_rng(0),
+            audit_fraction=0.5,
+        )
+        assert est.audited == 5
+        assert est.audit_mismatches == 5
 
     def test_audit_subsample_runs_clean(self, toy):
         lp, sol = toy

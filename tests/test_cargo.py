@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from share_sense import (
+    AuditMismatch,
     CargoConfig,
+    CountMismatch,
     TruncatedGaussianDemand,
     UniformDemand,
     assemble,
@@ -14,6 +16,7 @@ from share_sense import (
     sample_cargo_agent,
     solve_primal,
 )
+from share_sense import arrivals, cargo
 from share_sense.cargo import _pool_size
 from share_sense.rng import stream
 from share_sense.sensitivity import count_active_primal, epsilon_table
@@ -141,6 +144,25 @@ class TestRunTrial:
         config = small_config()
         with pytest.raises(ValueError, match="m="):
             run_trial(config, 0, epsilon_table(5, 1e-4))
+
+    def test_audit_mismatch_is_typed(self, monkeypatch):
+        config = small_config(arrivals=400)
+        table = epsilon_table(config.m, config.beta)
+        real = arrivals._resolve_says_changed
+        monkeypatch.setattr(arrivals, "_resolve_says_changed", lambda *a: not real(*a))
+        with pytest.raises(AuditMismatch, match="audit"):
+            run_trial(config, 0, table)
+
+    def test_count_mismatch_is_typed(self, monkeypatch):
+        config = small_config()
+        table = epsilon_table(config.m, config.beta)
+        clean = next(
+            i for i in range(20)
+            if solve_primal(assemble(build_problem(config, stream(config.seed, i, "agents")))).clean
+        )
+        monkeypatch.setattr(cargo, "count_active_dual", lambda *a: -1)
+        with pytest.raises(CountMismatch, match="dual count -1"):
+            run_trial(config, clean, table)
 
 
 class TestRunCampaign:

@@ -7,7 +7,10 @@ from share_sense import (
     AgentProfile,
     AssembledLP,
     BasisPartition,
+    FeasibilityCheckFailed,
     InfeasibleProblem,
+    InfeasibleStart,
+    PivotLimit,
     SharingProblem,
     UnboundedProblem,
     assemble,
@@ -16,6 +19,7 @@ from share_sense import (
     reduced_costs,
     solve_primal,
 )
+from share_sense import lp_core
 
 
 def toy_problem():
@@ -146,6 +150,88 @@ class TestSolvePrimal:
         sol = solve_primal(lp)
         _, obj_ref, _ = oracle.brute_force_optimum(lp)
         assert sol.objective == pytest.approx(obj_ref, abs=1e-9)
+
+
+class TestWarmStart:
+    def test_optimal_start_returns_same_x_without_pivots(self, monkeypatch):
+        lp = assemble(toy_problem())
+        sol = solve_primal(lp)
+        factorizations = []
+        real = lp_core._invert_basis
+
+        def counting(B):
+            factorizations.append(B)
+            return real(B)
+
+        monkeypatch.setattr(lp_core, "_invert_basis", counting)
+        again = solve_primal(lp, start=sol.partition)
+        # one factorization checks the start, one finds it optimal
+        assert len(factorizations) == 2
+        assert np.array_equal(again.x, sol.x)
+        assert again.partition.as_sets() == sol.partition.as_sets()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_optimal_start_is_a_fixed_point_on_random_batches(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        for _ in range(25):
+            lp = assemble(oracle.random_sharing_problem(rng))
+            sol = solve_primal(lp)
+            again = solve_primal(lp, start=sol.partition)
+            assert np.array_equal(again.x, sol.x)
+            assert again.objective == sol.objective
+
+    def test_feasible_suboptimal_start_reaches_optimum(self):
+        lp = assemble(toy_problem())
+        # slack basic at 1, cheap agent at its limit, the better agent parked at 0
+        start = BasisPartition(basic=(0,), at_lower=(2,), at_upper=(1,))
+        sol = solve_primal(lp, start=start)
+        assert_allclose(sol.x, [0.0, 2.0, 1.0], atol=1e-9)
+        assert sol.objective == pytest.approx(-7.0, abs=1e-9)
+
+    def test_start_outside_bounds_raises(self):
+        lp = assemble(toy_problem())
+        # both agents at their limits need 4 units of a budget of 3: slack = -1
+        start = BasisPartition(basic=(0,), at_lower=(), at_upper=(1, 2))
+        with pytest.raises(InfeasibleStart):
+            solve_primal(lp, start=start)
+
+    def test_start_with_infinite_upper_value_raises(self):
+        prob = SharingProblem(
+            p=1, n0=1, b=[3.0], agents=(AgentProfile(n=1, c=[-1.0], d=[np.inf], A=[[1.0]]),)
+        )
+        start = BasisPartition(basic=(0,), at_lower=(), at_upper=(1,))
+        with pytest.raises(InfeasibleStart):
+            solve_primal(assemble(prob), start=start)
+
+    def test_start_must_partition_the_columns(self):
+        lp = assemble(toy_problem())
+        with pytest.raises(ValueError, match="partition"):
+            solve_primal(lp, start=BasisPartition(basic=(0,), at_lower=(1,), at_upper=()))
+        with pytest.raises(ValueError, match="partition"):
+            solve_primal(lp, start=BasisPartition(basic=(0, 1), at_lower=(2,), at_upper=()))
+
+
+class TestTypedFailures:
+    def test_pivot_limit(self):
+        lp = assemble(toy_problem())
+        # from the slack basis the better agent must flip to its limit first
+        basis = np.array([0])
+        vstat = np.array([lp_core._BASIC, lp_core._AT_LOWER, lp_core._AT_LOWER])
+        with pytest.raises(PivotLimit):
+            lp_core._bounded_simplex(
+                lp.A, lp.b, lp.c, lp.d, basis, vstat, lp_core.DEFAULT_TOLS, 1
+            )
+
+    def test_feasibility_check(self, monkeypatch):
+        real = lp_core._bounded_simplex
+
+        def drifting(*args):
+            x, y, r = real(*args)
+            return x + 1e-3, y, r
+
+        monkeypatch.setattr(lp_core, "_bounded_simplex", drifting)
+        with pytest.raises(FeasibilityCheckFailed):
+            solve_primal(assemble(toy_problem()))
 
 
 class TestCheckBasicSolution:
