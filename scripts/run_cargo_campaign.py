@@ -6,15 +6,13 @@ grid at m=200, writing one result directory per cloud:
 
     out/<name>/trials.csv      one row per batch (s_star, p_hat, interval)
     out/<name>/epsilon.csv     the interval table used
-    out/<name>/summary.json    coverage and discard counts
+    out/<name>/summary.json    config, coverage and discard counts, as simulate
 
 W and V are placeholders (no published values); override on the command line
 to explore other aircraft.
 """
 
 import argparse
-import dataclasses
-import json
 from pathlib import Path
 
 from share_sense import (
@@ -24,7 +22,7 @@ from share_sense import (
     run_campaign,
 )
 from share_sense.sensitivity import epsilon_table
-from share_sense.serialize import write_epsilon_csv, write_trials_csv
+from share_sense.serialize import write_campaign
 
 DEMAND_RANGES = [(50.0, 150.0), (100.0, 400.0), (1000.0, 4000.0), (2000.0, 6000.0)]
 
@@ -64,13 +62,7 @@ def main() -> int:
         if m not in tables:
             tables[m] = epsilon_table(m, args.beta)
         records, summary = run_campaign(config, tables[m])
-        out_dir = out_root / name
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_trials_csv(records, out_dir / "trials.csv")
-        write_epsilon_csv(tables[m], out_dir / "epsilon.csv")
-        (out_dir / "summary.json").write_text(
-            json.dumps(dataclasses.asdict(summary), indent=2) + "\n"
-        )
+        write_campaign(out_root / name, config, tables[m], records, summary)
         status = "all covered" if summary.all_covered else "VIOLATIONS"
         print(
             f"{name}: {summary.covered}/{summary.clean_trials} clean trials covered "

@@ -34,6 +34,7 @@ from .duality import (
     verify_complementary_slackness,
 )
 from .errors import (
+    ArrivalFormsDisagree,
     AuditMismatch,
     BracketFailure,
     CountMismatch,
@@ -45,6 +46,7 @@ from .errors import (
     RankDeficient,
     ShareSenseError,
     SingularBasis,
+    TableCheckFailed,
     UnboundedProblem,
 )
 from .lp_core import (

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import dual_closed_form
-from .errors import DegenerateBase
+from .errors import ArrivalFormsDisagree, DegenerateBase
 from .lp_core import (
     DEFAULT_TOLS,
     AgentProfile,
@@ -60,14 +60,14 @@ class ArrivalVerdict:
 
 def _dual_form_changes(
     lam: np.ndarray, newcomer: AgentProfile, tol: Tolerances
-) -> tuple[bool, np.ndarray]:
+) -> bool:
     """max{0, -c - lam^T A} d > 0 with the convention inf * 0 = 0."""
     gain = np.maximum(0.0, -newcomer.c - lam @ newcomer.A)
     gain[gain <= tol.rc] = 0.0
     finite = np.isfinite(newcomer.d)
     weighted = np.where(finite, gain * np.where(finite, newcomer.d, 0.0), 0.0)
     weighted = np.where(~finite & (gain > 0.0), np.inf, weighted)
-    return bool(weighted.sum() > 0.0), gain
+    return bool(weighted.sum() > 0.0)
 
 
 def changes_solution(
@@ -98,9 +98,8 @@ def changes_solution(
     changes = bool(np.any(rc < -tol.rc))
     tie = bool(not changes and np.any(np.abs(rc) <= tol.rc))
 
-    changes_dual, _ = _dual_form_changes(lam, newcomer, tol)
-    if changes_dual != changes:
-        raise ArithmeticError(
+    if _dual_form_changes(lam, newcomer, tol) != changes:
+        raise ArrivalFormsDisagree(
             "reduced-cost and multiplier forms of the arrival test disagree"
         )
 

@@ -15,8 +15,6 @@ regimes at m = 100.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +50,6 @@ __all__ = [
     "run_trial",
     "sample_cargo_agent",
 ]
-
-THREADS_ENV = "SHARE_SENSE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,10 @@ def run_trial(
     audit_fraction: float = 0.01,
 ) -> TrialRecord:
     """Solve one batch, count active agents (primal and dual reads must agree
-    on clean trials), and estimate the arrival-change probability."""
+    on clean trials), and estimate the arrival-change probability.
+
+    Only clean trials are audited: on a flagged base the certificate can
+    disagree with every re-solve, and such a trial is discarded anyway."""
     if table.m != config.m:
         raise ValueError(f"table was built for m={table.m}, config has m={config.m}")
     agent_rng = rng_streams.stream(config.seed, trial_index, "agents")
@@ -229,7 +228,7 @@ def run_trial(
         config.n_arrivals,
         arrival_rng,
         tol,
-        audit_fraction=audit_fraction,
+        audit_fraction=audit_fraction if solution.clean else 0.0,
         allow_flagged=True,
     )
     if estimate.audit_mismatches:
@@ -263,37 +262,16 @@ class CampaignSummary:
         return self.covered == self.clean_trials
 
 
-def _pool_size() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_campaign(
     config: CargoConfig,
     table: EpsilonTable | None = None,
     tol: Tolerances = DEFAULT_TOLS,
-    max_workers: int | None = None,
 ) -> tuple[list[TrialRecord], CampaignSummary]:
-    """All trials of a campaign, in trial order regardless of scheduling.
-
-    Worker count comes from ``max_workers`` or the SHARE_SENSE_THREADS
-    environment variable (default 1). Results are deterministic functions of
-    (config, seed) alone.
-    """
+    """All trials of a campaign, in trial order. Results are deterministic
+    functions of (config, seed) alone."""
     if table is None:
         table = epsilon_table(config.m, config.beta)
-    workers = _pool_size() if max_workers is None else max(1, max_workers)
-
-    indices = range(config.trials)
-    if workers == 1 or config.trials <= 1:
-        records = [run_trial(config, i, table, tol) for i in indices]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda i: run_trial(config, i, table, tol), indices))
-    records.sort(key=lambda r: r.trial_index)
+    records = [run_trial(config, i, table, tol) for i in range(config.trials)]
 
     clean = [r for r in records if r.clean]
     summary = CampaignSummary(

@@ -10,7 +10,6 @@ nonzero exit code.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,8 +23,8 @@ from .serialize import (
     load_cargo_config,
     load_instance,
     solution_to_dict,
+    write_campaign,
     write_epsilon_csv,
-    write_trials_csv,
 )
 
 
@@ -80,26 +79,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = load_cargo_config(args.config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = epsilon_table(config.m, config.beta)
     records, summary = run_campaign(config, table)
-    write_trials_csv(records, out_dir / "trials.csv")
-    write_epsilon_csv(table, out_dir / "epsilon.csv")
-    payload = {
-        "config": {
-            **{
-                k: v
-                for k, v in dataclasses.asdict(config).items()
-                if k != "demand"
-            },
-            "demand": dataclasses.asdict(config.demand),
-            "arrivals_resolved": config.n_arrivals,
-        },
-        "summary": dataclasses.asdict(summary),
-        "all_covered": summary.all_covered,
-    }
-    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
+    payload = write_campaign(args.out_dir, config, table, records, summary)
     print(json.dumps(payload["summary"], indent=2))
     return 0
 

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularBasis
 from .lp_core import (
     DEFAULT_TOLS,
     AssembledLP,
-    BasisPartition,
     PrimalSolution,
     Tolerances,
+    dual_closed_form,
     solve_primal,
 )
 
@@ -54,18 +53,6 @@ class DualCertificate:
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
         object.__setattr__(self, "nu", np.asarray(self.nu, dtype=float))
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
-
-
-def dual_closed_form(lp: AssembledLP, partition: BasisPartition) -> np.ndarray:
-    """Budget multipliers from the optimal basis: solve A_B^T w = c_B and
-    negate. Only meaningful for the partition of a non-degenerate optimum."""
-    basic = list(partition.basic)
-    AB = lp.A[:, basic]
-    try:
-        w = np.linalg.solve(AB.T, lp.c[basic])
-    except np.linalg.LinAlgError as exc:
-        raise SingularBasis("basis matrix is singular") from exc
-    return -w
 
 
 def relaxation_values(lp: AssembledLP, nu: np.ndarray) -> np.ndarray:

@@ -54,3 +54,13 @@ class AuditMismatch(ShareSenseError):
 class CountMismatch(ShareSenseError):
     """The primal and dual reads of the active-agent count disagree on a
     clean solve."""
+
+
+class ArrivalFormsDisagree(ShareSenseError):
+    """The reduced-cost and multiplier forms of the arrival test classify a
+    newcomer differently (for instance when gain x d underflows to zero)."""
+
+
+class TableCheckFailed(ShareSenseError):
+    """An epsilon table violates root ordering, bound ordering, the k = m
+    boundary values or the root-residual tolerance."""

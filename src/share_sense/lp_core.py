@@ -47,6 +47,7 @@ __all__ = [
     "assemble",
     "audit_assumptions",
     "check_basic_solution",
+    "dual_closed_form",
     "reduced_costs",
     "solve_primal",
 ]
@@ -486,6 +487,13 @@ def _start_basis(A, b, d, start: BasisPartition, tol: Tolerances):
     return basis, vstat
 
 
+def _row_scale(lp: AssembledLP) -> np.ndarray:
+    """Per-row divisor that brings each row of [A | b] to unit max-norm
+    (1 for an all-zero row)."""
+    scale = np.maximum(np.max(np.abs(lp.A), axis=1, initial=0.0), np.abs(lp.b))
+    return np.where(scale > 0.0, scale, 1.0)
+
+
 def solve_primal(
     lp: AssembledLP,
     tol: Tolerances = DEFAULT_TOLS,
@@ -505,8 +513,7 @@ def solve_primal(
     if ell < p:
         raise ValueError(f"need at least as many variables as rows: ell={ell} < p={p}")
 
-    scale = np.maximum(np.max(np.abs(lp.A), axis=1, initial=0.0), np.abs(lp.b))
-    scale = np.where(scale > 0.0, scale, 1.0)
+    scale = _row_scale(lp)
     As = lp.A / scale[:, None]
     bs = lp.b / scale
 
@@ -575,8 +582,7 @@ def check_basic_solution(
     x = np.asarray(x, dtype=float)
     failures = []
 
-    scale = np.maximum(np.max(np.abs(lp.A), axis=1, initial=0.0), np.abs(lp.b))
-    scale = np.where(scale > 0.0, scale, 1.0)
+    scale = _row_scale(lp)
     resid = float(np.max(np.abs((lp.A @ x - lp.b) / scale), initial=0.0))
     if resid > 10.0 * tol.feas:
         failures.append(f"budget residual {resid:.3e}")
@@ -605,6 +611,18 @@ def check_basic_solution(
     return BasicSolutionCheck(ok=not failures, failures=tuple(failures))
 
 
+def dual_closed_form(lp: AssembledLP, partition: BasisPartition) -> np.ndarray:
+    """Budget multipliers from the optimal basis: solve A_B^T w = c_B and
+    negate. Only meaningful for the partition of a non-degenerate optimum."""
+    basic = list(partition.basic)
+    AB = lp.A[:, basic]
+    try:
+        w = np.linalg.solve(AB.T, lp.c[basic])
+    except np.linalg.LinAlgError as exc:
+        raise SingularBasis("basis matrix is singular") from exc
+    return -w
+
+
 def reduced_costs(
     lp: AssembledLP, partition: BasisPartition, tol: Tolerances = DEFAULT_TOLS
 ):
@@ -613,16 +631,8 @@ def reduced_costs(
     At an optimal basic feasible solution the first is >= 0 and the second
     <= 0 (up to ``tol.rc``).
     """
-    basic = list(partition.basic)
-    AB = lp.A[:, basic]
-    try:
-        y = np.linalg.solve(AB.T, lp.c[basic])
-    except np.linalg.LinAlgError as exc:
-        raise SingularBasis("basis matrix is singular") from exc
-    r = lp.c - y @ lp.A
-    r_low = r[list(partition.at_lower)]
-    r_up = r[list(partition.at_upper)]
-    return r_low, r_up
+    r = lp.c + dual_closed_form(lp, partition) @ lp.A
+    return r[list(partition.at_lower)], r[list(partition.at_upper)]
 
 
 @dataclass(frozen=True)

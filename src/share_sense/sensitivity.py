@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import DualCertificate
-from .errors import BracketFailure
+from .errors import BracketFailure, TableCheckFailed
 from .lp_core import DEFAULT_TOLS, AssembledLP, PrimalSolution, Tolerances
 
 __all__ = [
@@ -360,17 +360,17 @@ class EpsilonTable:
         if self.t_low.shape != (m + 1,):
             raise ValueError("table arrays must have length m + 1")
         if self.t_low[m] != 0.0:
-            raise ArithmeticError("t_low at k = m must be exactly 0")
+            raise TableCheckFailed("t_low at k = m must be exactly 0")
         if np.any(self.t_low < 0.0) or np.any(self.t_low > self.t_high):
-            raise ArithmeticError("root ordering violated: need 0 <= t_low <= t_high")
+            raise TableCheckFailed("root ordering violated: need 0 <= t_low <= t_high")
         if np.any(self.eps_low < 0.0) or np.any(self.eps_low > self.eps_high):
-            raise ArithmeticError("bound ordering violated")
+            raise TableCheckFailed("bound ordering violated")
         if np.any(self.eps_high > 1.0) or self.eps_high[m] != 1.0:
-            raise ArithmeticError("upper bounds must lie in [0, 1] with value 1 at k = m")
+            raise TableCheckFailed("upper bounds must lie in [0, 1] with value 1 at k = m")
         resid = np.concatenate([self.residual_low[:m], self.residual_high])
         if np.any(np.abs(resid) >= _RESIDUAL_TOL):
             worst = float(np.nanmax(np.abs(resid)))
-            raise ArithmeticError(f"root residual {worst:.3e} exceeds {_RESIDUAL_TOL}")
+            raise TableCheckFailed(f"root residual {worst:.3e} exceeds {_RESIDUAL_TOL}")
 
     def interval(self, k: int) -> tuple[float, float]:
         if not 0 <= k <= self.m:

@@ -1,4 +1,4 @@
-"""JSON instance/solution formats and CSV emitters.
+"""JSON instance/solution formats, CSV emitters and the campaign writer.
 
 Instance files look like
 
@@ -13,11 +13,18 @@ dual certificate.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
 
-from .cargo import CargoConfig, TrialRecord, TruncatedGaussianDemand, UniformDemand
+from .cargo import (
+    CampaignSummary,
+    CargoConfig,
+    TrialRecord,
+    TruncatedGaussianDemand,
+    UniformDemand,
+)
 from .duality import DualCertificate
 from .lp_core import AgentProfile, PrimalSolution, SharingProblem
 from .sensitivity import EpsilonTable
@@ -27,6 +34,7 @@ __all__ = [
     "load_instance",
     "problem_to_dict",
     "solution_to_dict",
+    "write_campaign",
     "write_epsilon_csv",
     "write_trials_csv",
 ]
@@ -44,14 +52,18 @@ def _limit_to_json(v: float):
     return "inf" if math.isinf(v) else float(v)
 
 
+def _read_json(source) -> dict:
+    """A shallow copy of a parsed dict, or the JSON in a file object or path."""
+    if isinstance(source, dict):
+        return dict(source)
+    if hasattr(source, "read"):
+        return json.load(source)
+    return json.loads(Path(source).read_text())
+
+
 def load_instance(source) -> SharingProblem:
     """Read a sharing problem from a path, file object, or parsed dict."""
-    if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        data = json.loads(Path(source).read_text())
+    data = _read_json(source)
     agents = []
     for i, raw in enumerate(data["agents"]):
         c = raw["c"]
@@ -105,12 +117,7 @@ def solution_to_dict(
 
 def load_cargo_config(source) -> CargoConfig:
     """Read a campaign config from a path, file object, or parsed dict."""
-    if isinstance(source, dict):
-        data = dict(source)
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        data = json.loads(Path(source).read_text())
+    data = _read_json(source)
     dist = data.pop("demand")
     kind = dist.get("kind", "uniform")
     if kind == "uniform":
@@ -147,30 +154,37 @@ def write_epsilon_csv(table: EpsilonTable, path) -> None:
 
 
 def write_trials_csv(records: list[TrialRecord], path) -> None:
+    """One row per record, columns in ``TrialRecord`` field order: floats as
+    their round-trip repr, counts and flags as integers."""
+    names = [f.name for f in dataclasses.fields(TrialRecord)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "trial_index",
-                "s_star",
-                "p_hat",
-                "eps_low",
-                "eps_high",
-                "tie_count",
-                "degenerate",
-                "nonunique",
-            ]
-        )
+        writer.writerow(names)
         for r in records:
-            writer.writerow(
-                [
-                    r.trial_index,
-                    r.s_star,
-                    repr(r.p_hat),
-                    repr(r.eps_low),
-                    repr(r.eps_high),
-                    r.tie_count,
-                    int(r.degenerate),
-                    int(r.nonunique),
-                ]
-            )
+            values = [getattr(r, name) for name in names]
+            writer.writerow([repr(v) if isinstance(v, float) else int(v) for v in values])
+
+
+def write_campaign(
+    out_dir,
+    config: CargoConfig,
+    table: EpsilonTable,
+    records: list[TrialRecord],
+    summary: CampaignSummary,
+) -> dict:
+    """Write ``trials.csv``, ``epsilon.csv`` and ``summary.json`` of one
+    campaign into ``out_dir`` (created if missing); return the summary.json
+    payload."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_trials_csv(records, out_dir / "trials.csv")
+    write_epsilon_csv(table, out_dir / "epsilon.csv")
+    config_fields = dataclasses.asdict(config)
+    config_fields["demand"] = config_fields.pop("demand")  # after the scalars
+    payload = {
+        "config": {**config_fields, "arrivals_resolved": config.n_arrivals},
+        "summary": dataclasses.asdict(summary),
+        "all_covered": summary.all_covered,
+    }
+    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
+    return payload

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 import lp_oracles as oracle
 from share_sense import (
     AgentProfile,
+    ArrivalFormsDisagree,
     AssembledLP,
     CargoArrivalSampler,
     CargoConfig,
@@ -73,6 +74,16 @@ class TestChangesSolution:
             changes_solution(lp, sol, profitable_newcomer())
         verdict = changes_solution(lp, sol, profitable_newcomer(), allow_flagged=True)
         assert verdict.changes
+
+    def test_underflowing_weight_is_typed(self):
+        # gain * d underflows to 0, so the multiplier form says "no change"
+        # while the reduced cost -1e-8 says "change"
+        one = AgentProfile(n=1, c=[-1.0], d=[1.0], A=[[1.0]])
+        lp = assemble(SharingProblem(p=1, n0=1, b=[2.0], agents=(one,)))
+        sol = solve_primal(lp)
+        tiny = AgentProfile(n=1, c=[-1e-8], d=[1e-320], A=[[1.0]])
+        with pytest.raises(ArrivalFormsDisagree, match="disagree"):
+            changes_solution(lp, sol, tiny)
 
     def test_dimension_mismatch_rejected(self, toy):
         lp, sol = toy

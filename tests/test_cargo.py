@@ -17,7 +17,6 @@ from share_sense import (
     solve_primal,
 )
 from share_sense import arrivals, cargo
-from share_sense.cargo import _pool_size
 from share_sense.rng import stream
 from share_sense.sensitivity import count_active_primal, epsilon_table
 
@@ -153,6 +152,22 @@ class TestRunTrial:
         with pytest.raises(AuditMismatch, match="audit"):
             run_trial(config, 0, table)
 
+    def test_flagged_trial_is_discarded_not_audited(self, monkeypatch):
+        # on a flagged base the certificate may disagree with every re-solve;
+        # such a trial must come back flagged instead of aborting the campaign
+        config = small_config(arrivals=400)
+        table = epsilon_table(config.m, config.beta)
+        unpatched = run_trial(config, 0, table)
+        real_solve = cargo.solve_primal
+        monkeypatch.setattr(
+            cargo, "solve_primal", lambda *a: dataclasses.replace(real_solve(*a), degenerate=True)
+        )
+        real = arrivals._resolve_says_changed
+        monkeypatch.setattr(arrivals, "_resolve_says_changed", lambda *a: not real(*a))
+        record = run_trial(config, 0, table)
+        assert record.degenerate and not record.clean
+        assert (record.s_star, record.p_hat) == (unpatched.s_star, unpatched.p_hat)
+
     def test_count_mismatch_is_typed(self, monkeypatch):
         config = small_config()
         table = epsilon_table(config.m, config.beta)
@@ -179,19 +194,6 @@ class TestRunCampaign:
         assert summary.clean_trials + summary.discarded == summary.trials
         assert summary.covered <= summary.clean_trials
         assert [r.trial_index for r in records] == list(range(config.trials))
-
-    def test_worker_count_does_not_change_results(self):
-        config = small_config()
-        table = epsilon_table(config.m, config.beta)
-        serial, _ = run_campaign(config, table, max_workers=1)
-        threaded, _ = run_campaign(config, table, max_workers=3)
-        assert serial == threaded
-
-    def test_env_var_caps_pool(self, monkeypatch):
-        monkeypatch.setenv("SHARE_SENSE_THREADS", "4")
-        assert _pool_size() == 4
-        monkeypatch.setenv("SHARE_SENSE_THREADS", "not-a-number")
-        assert _pool_size() == 1
 
     def test_band_coverage_small_campaign(self):
         # small-scale version of the coverage experiment

@@ -1,5 +1,8 @@
 import csv
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,3 +206,21 @@ class TestCliSimulate:
         assert (tmp_path / "a" / "trials.csv").read_bytes() == (
             tmp_path / "b" / "trials.csv"
         ).read_bytes()
+
+
+class TestCampaignScript:
+    def test_writes_simulate_summary_format(self, tmp_path, monkeypatch):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_cargo_campaign.py"
+        out = tmp_path / "grid"
+        monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out), "--trials", "0"])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        dirs = sorted(out.iterdir())
+        assert len(dirs) == 12
+        for d in dirs:
+            assert sorted(p.name for p in d.iterdir()) == ["epsilon.csv", "summary.json", "trials.csv"]
+            summary = json.loads((d / "summary.json").read_text())
+            assert list(summary) == ["config", "summary", "all_covered"]
+            assert summary["config"]["arrivals_resolved"] == 50 * summary["config"]["m"]
+            assert summary["summary"]["trials"] == 0

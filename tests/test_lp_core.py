@@ -278,6 +278,20 @@ class TestReducedCosts:
         r_low, _ = reduced_costs(lp, part)
         assert np.min(r_low) < 0.0
 
+    def test_bitwise_equal_to_direct_multiplier_form(self):
+        # reduced_costs reuses the negated closed-form multipliers; c + (-y) A
+        # must equal c - y A to the last bit
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            lp = assemble(oracle.random_sharing_problem(rng))
+            part = solve_primal(lp).partition
+            basic = list(part.basic)
+            y = np.linalg.solve(lp.A[:, basic].T, lp.c[basic])
+            r = lp.c - y @ lp.A
+            r_low, r_up = reduced_costs(lp, part)
+            assert np.array_equal(r_low, r[list(part.at_lower)])
+            assert np.array_equal(r_up, r[list(part.at_upper)])
+
     def test_zero_costs_give_zero_reduced_costs(self):
         prob = SharingProblem(
             p=1,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import lp_oracles as oracle
 from share_sense import (
     AgentProfile,
     SharingProblem,
+    TableCheckFailed,
     assemble,
     closed_form_certificate,
     count_active_dual,
@@ -160,6 +162,27 @@ class TestEpsilonTable:
         w_small = (small.eps_high - small.eps_low).max()
         w_large = (large.eps_high - large.eps_low).max()
         assert w_large < w_small
+
+
+    @pytest.mark.parametrize(
+        "field,k,value,match",
+        [
+            ("t_low", -1, 0.5, "t_low at k = m"),
+            ("t_low", 0, 9.0, "root ordering"),
+            ("eps_low", 0, 0.99, "bound ordering"),
+            ("eps_high", -1, 0.5, "upper bounds"),
+            ("residual_high", 0, 1e-3, "root residual"),
+        ],
+    )
+    def test_corrupted_table_is_typed(self, field, k, value, match):
+        tab = epsilon_table(2, 1e-2)
+        arrays = {name: getattr(tab, name).copy() for name in ("eps_low", "eps_high")}
+        arrays[field] = getattr(tab, field).copy()
+        arrays[field][k] = value
+        if field == "eps_high":
+            arrays["eps_low"][k] = 0.0
+        with pytest.raises(TableCheckFailed, match=match):
+            dataclasses.replace(tab, **arrays)
 
 
 class TestExplicitUpperBound:
