@@ -68,12 +68,7 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_bounds(args) -> int:
     table = epsilon_table(args.m, args.beta)
-    if args.out:
-        write_epsilon_csv(table, args.out)
-    else:
-        print("k,t_low,t_high,eps_low,eps_high,eps_explicit")
-        for row in table.rows():
-            print(",".join([str(row[0])] + [repr(v) for v in row[1:]]))
+    write_epsilon_csv(table, args.out or sys.stdout)
     return 0
 
 

@@ -16,6 +16,13 @@ problem before a column was appended, can pass it as ``start`` and go straight
 to phase 2. It targets desk-scale problems: hundreds of variables, a handful of
 budget rows. Rows of ``A`` and ``b`` are rescaled to unit max-norm before
 pivoting because realistic instances mix magnitudes like 1 and 1/7000.
+
+Each phase inverts its starting basis once and keeps the inverse across
+pivots, updating it by rank 1 on a basis change and rebuilding it every
+``_REFACTOR_EVERY`` basis changes. Optimality is only declared on a fresh
+inverse, so the returned solution comes from a fresh inverse of the final
+basis, and near-ties in pricing and in the ratio test go to the lowest index,
+so rounding in the updated inverse does not steer the pivots.
 """
 
 from __future__ import annotations
@@ -278,17 +285,23 @@ def assemble(problem: SharingProblem) -> AssembledLP:
 # --- bounded-variable revised simplex ---------------------------------------
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+# pricing sign per status: a reduced cost r improves at lower when -r > 0,
+# at upper when r > 0; basic variables price at 0 and never enter
+_PRICE_SIGN = np.array([-1.0, 1.0, 0.0])
 _BLAND_TRIGGER = 50  # consecutive degenerate pivots before least-index rule
+_REFACTOR_EVERY = 32  # basis changes between fresh inversions of the basis
 _PIV_TOL = 1e-10  # direction entries smaller than this cannot block/pivot
 _DEGEN_STEP = 1e-11
+# Reduced costs or pivot sizes within this relative gap of the largest tie,
+# and the first in index order wins. Duplicated columns and rows are equal in
+# exact arithmetic but not always in floating point, so a strict argmax would
+# let rounding (a fresh against an updated basis inverse) pick the pivot.
+_TIE = 1e-9
 
 
 def _nonbasic_values(vstat: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Full-length x with non-basic entries at their bounds, basics at 0."""
-    x = np.zeros_like(d)
-    up = vstat == _AT_UPPER
-    x[up] = d[up]
-    return x
+    return np.where(vstat == _AT_UPPER, d, 0.0)
 
 
 def _invert_basis(B: np.ndarray) -> np.ndarray:
@@ -313,37 +326,51 @@ def _invert_basis(B: np.ndarray) -> np.ndarray:
 
 
 def _bounded_simplex(A, b, c, d, basis, vstat, tol: Tolerances, max_iter: int):
-    """Pivot until optimal, refactorizing the basis each iteration.
+    """Pivot until optimal, keeping the basis inverse across pivots.
+
+    The basis is inverted once on entry. A basis change updates the inverse
+    by rank 1 (the eta update with the entering column ``Binv @ A[:, j]``);
+    a bound flip leaves the basis, and so the inverse, unchanged. Every
+    ``_REFACTOR_EVERY`` basis changes the inverse is rebuilt from
+    ``A[:, basis]`` to shed the rounding the updates accumulate. When pricing
+    on an updated inverse finds no entering column, the basis is re-inverted
+    and priced again before optimality is declared, so the returned values
+    always come from a fresh inverse of the final basis. Ties within ``_TIE``
+    in pricing and pivot size, and within rounding in step length, are broken
+    by position, so a fresh and an updated inverse take the same pivots.
 
     ``basis`` (row -> column) and ``vstat`` are updated in place. Returns the
     final (x, y, r): full primal vector, row multipliers, reduced costs.
     """
     bland = False
     degen_run = 0
+    Binv = _invert_basis(A[:, basis])
+    changes = 0  # basis changes since Binv was last inverted
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            Binv = _invert_basis(A[:, basis])
-            xN = _nonbasic_values(vstat, d)
-            xB = Binv @ (b - A @ xN)
             y = c[basis] @ Binv
             r = c - y @ A
 
-            viol = np.where(
-                vstat == _AT_LOWER, -r, np.where(vstat == _AT_UPPER, r, -np.inf)
-            )
+            viol = r * _PRICE_SIGN[vstat]
             if bland:
                 candidates = np.flatnonzero(viol > tol.rc)
-                if candidates.size == 0:
-                    break
-                j = int(candidates[0])
+                j = int(candidates[0]) if candidates.size else -1
             else:
-                j = int(np.argmax(viol))
-                if viol[j] <= tol.rc:
+                best = viol.max()
+                j = int(np.argmax(viol >= best * (1.0 - _TIE))) if best > tol.rc else -1
+            if j < 0:
+                if changes == 0:
                     break
+                Binv = None
+                Binv = _invert_basis(A[:, basis])
+                changes = 0
+                continue
 
+            xB = Binv @ (b - A @ _nonbasic_values(vstat, d))
             sigma = 1.0 if vstat[j] == _AT_LOWER else -1.0
+            col = Binv @ A[:, j]
             # change of x_B per unit step of the entering variable
-            delta = (-sigma) * (Binv @ A[:, j])
+            delta = (-sigma) * col
 
             dB = d[basis]
             shrink = delta < -_PIV_TOL
@@ -362,20 +389,32 @@ def _bounded_simplex(A, b, c, d, basis, vstat, tol: Tolerances, max_iter: int):
                     f"entering variable {j} can improve the objective without bound"
                 )
 
-            if t_own <= t_row_min:
+            # steps within rounding of the shortest one tie; a tied flip wins
+            reach = t_step + 1e-12 * (1.0 + t_step)
+            if t_own <= reach:
                 # bound flip: the entering variable traverses its whole range
                 vstat[j] = _AT_UPPER if vstat[j] == _AT_LOWER else _AT_LOWER
             else:
-                near = np.flatnonzero(t_rows <= t_step + 1e-12 * (1.0 + t_step))
+                near = np.flatnonzero(t_rows <= reach)
                 if bland:
                     row = int(near[np.argmin(basis[near])])
                 else:
-                    row = int(near[np.argmax(np.abs(delta[near]))])
+                    size = np.abs(delta[near])
+                    row = int(near[np.argmax(size >= size.max() * (1.0 - _TIE))])
                 leaving = int(basis[row])
                 hits_zero = t_zero[row] <= t_upper[row]
                 vstat[leaving] = _AT_LOWER if hits_zero else _AT_UPPER
                 basis[row] = j
                 vstat[j] = _BASIC
+                changes += 1
+                if changes == _REFACTOR_EVERY:
+                    Binv = None
+                    Binv = _invert_basis(A[:, basis])
+                    changes = 0
+                else:
+                    prow = Binv[row] / col[row]
+                    Binv -= col[:, None] @ prow[None, :]
+                    Binv[row] = prow
 
             if t_step <= _DEGEN_STEP:
                 degen_run += 1
@@ -387,7 +426,7 @@ def _bounded_simplex(A, b, c, d, basis, vstat, tol: Tolerances, max_iter: int):
             raise PivotLimit(f"simplex failed to terminate within {max_iter} pivots")
 
     x = _nonbasic_values(vstat, d)
-    x[basis] = xB
+    x[basis] = Binv @ (b - A @ x)
     return x, y, r
 
 
@@ -423,9 +462,9 @@ def _phase1(A, b, d, tol: Tolerances, max_iter: int):
     resid = b - A @ _nonbasic_values(vstat, d)
     # crash picks exactly zero their rows; the solve below re-derives values
     signs = np.where(resid[free_rows] >= 0.0, 1.0, -1.0)
-    A_art = np.zeros((p, n_art))
-    A_art[free_rows, np.arange(n_art)] = signs
-    A1 = np.hstack([A, A_art])
+    A1 = np.zeros((p, ell + n_art))
+    A1[:, :ell] = A
+    A1[free_rows, ell + np.arange(n_art)] = signs
     d1 = np.concatenate([d, np.full(n_art, np.inf)])
     c1 = np.concatenate([np.zeros(ell), np.ones(n_art)])
     basis1 = basis.copy()
@@ -623,13 +662,11 @@ def dual_closed_form(lp: AssembledLP, partition: BasisPartition) -> np.ndarray:
     return -w
 
 
-def reduced_costs(
-    lp: AssembledLP, partition: BasisPartition, tol: Tolerances = DEFAULT_TOLS
-):
+def reduced_costs(lp: AssembledLP, partition: BasisPartition):
     """Reduced-cost vectors over the at-lower and at-upper index sets.
 
     At an optimal basic feasible solution the first is >= 0 and the second
-    <= 0 (up to ``tol.rc``).
+    <= 0 (up to ``Tolerances.rc``).
     """
     r = lp.c + dual_closed_form(lp, partition) @ lp.A
     return r[list(partition.at_lower)], r[list(partition.at_upper)]

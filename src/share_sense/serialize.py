@@ -12,6 +12,7 @@ dual certificate.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -145,8 +146,14 @@ def load_cargo_config(source) -> CargoConfig:
     return CargoConfig(demand=demand, **data)
 
 
-def write_epsilon_csv(table: EpsilonTable, path) -> None:
-    with open(path, "w", newline="") as fh:
+def write_epsilon_csv(table: EpsilonTable, target) -> None:
+    """The interval table as CSV into a path, or into an open text stream
+    that is left open; floats as their round-trip repr."""
+    if hasattr(target, "write"):
+        context = contextlib.nullcontext(target)
+    else:
+        context = open(target, "w", newline="")
+    with context as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "t_low", "t_high", "eps_low", "eps_high", "eps_explicit"])
         for row in table.rows():

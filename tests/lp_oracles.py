@@ -20,7 +20,10 @@ from share_sense import (
     AgentProfile,
     AssembledLP,
     SharingProblem,
+    assemble,
+    augment,
     epsilon_table,
+    solve_primal,
 )
 
 FEAS_TOL = 1e-9
@@ -156,6 +159,41 @@ def random_unbounded_free_problem(rng: np.random.Generator) -> SharingProblem:
     x_ref = np.concatenate([rng.uniform(0.2, 1.5, ag.n) for ag in agents])
     b = np.hstack([ag.A for ag in agents]) @ x_ref
     return SharingProblem(p=p, n0=0, b=b, agents=tuple(agents))
+
+
+def flagged_or_clean_instance(rng: np.random.Generator, shape: str):
+    """A random instance and its optimum from the production solver.
+
+    ``duplicate`` clones a basic agent, so its reduced cost vanishes
+    (non-unique optimum); ``vertex`` moves the budgets so that a basic
+    variable of the optimum sits at zero (degenerate optimum); ``price_tie``
+    gives every agent coordinate the same cost; ``unlimited`` has equality
+    rows only and no finite upper limit; ``random`` is usually clean.
+    """
+    if shape == "unlimited":
+        lp = assemble(random_unbounded_free_problem(rng))
+        return lp, solve_primal(lp)
+    lp = assemble(random_sharing_problem(rng))
+    if shape == "price_tie":
+        c = lp.c.copy()
+        c[lp.n0 :] = rng.uniform(-4.0, -0.5)
+        lp = AssembledLP(
+            A=lp.A, b=lp.b, c=c, d=lp.d, n0=lp.n0, agent_spans=lp.agent_spans
+        )
+        return lp, solve_primal(lp)
+    sol = solve_primal(lp)
+    basic_agents = [j for j in sol.partition.basic if j >= lp.n0]
+    if shape == "duplicate" and basic_agents:
+        j = basic_agents[0]
+        clone = AgentProfile(n=1, c=lp.c[j : j + 1], d=lp.d[j : j + 1], A=lp.A[:, j : j + 1])
+        lp = augment(lp, clone)
+    elif shape == "vertex":
+        x = sol.x.copy()
+        x[sol.partition.basic[0]] = 0.0
+        lp = AssembledLP(
+            A=lp.A, b=lp.A @ x, c=lp.c, d=lp.d, n0=lp.n0, agent_spans=lp.agent_spans
+        )
+    return lp, solve_primal(lp)
 
 
 # --- high-precision polynomial oracles ----------------------------------------

@@ -9,7 +9,6 @@ import lp_oracles as oracle
 from share_sense import (
     AgentProfile,
     ArrivalFormsDisagree,
-    AssembledLP,
     CargoArrivalSampler,
     CargoConfig,
     DegenerateBase,
@@ -122,27 +121,6 @@ class TestSolveAugmented:
             assert plus.objective <= sol.objective + 1e-9
 
 
-def flagged_or_clean_instance(rng, shape):
-    """A random instance solved once. ``duplicate`` clones a basic agent, so
-    its reduced cost vanishes (non-unique optimum); ``vertex`` moves the
-    budgets so that a basic variable of the optimum sits at zero
-    (degenerate optimum); ``random`` is usually clean."""
-    lp = assemble(oracle.random_sharing_problem(rng))
-    sol = solve_primal(lp)
-    basic_agents = [j for j in sol.partition.basic if j >= lp.n0]
-    if shape == "duplicate" and basic_agents:
-        j = basic_agents[0]
-        clone = AgentProfile(n=1, c=lp.c[j : j + 1], d=lp.d[j : j + 1], A=lp.A[:, j : j + 1])
-        lp = augment(lp, clone)
-    elif shape == "vertex":
-        x = sol.x.copy()
-        x[sol.partition.basic[0]] = 0.0
-        lp = AssembledLP(
-            A=lp.A, b=lp.A @ x, c=lp.c, d=lp.d, n0=lp.n0, agent_spans=lp.agent_spans
-        )
-    return lp, solve_primal(lp)
-
-
 def warm_test_newcomer(rng, lp, sol, kind):
     """``tie`` clones a basic column (zero reduced cost); ``wide`` has two
     columns, the second without an upper limit."""
@@ -168,7 +146,7 @@ class TestWarmResolve:
     )
     def test_warm_matches_cold(self, seed, shape, kind):
         rng = np.random.default_rng(seed)
-        lp, sol = flagged_or_clean_instance(rng, shape)
+        lp, sol = oracle.flagged_or_clean_instance(rng, shape)
         newcomer = warm_test_newcomer(rng, lp, sol, kind)
         verdict = changes_solution(lp, sol, newcomer, allow_flagged=True)
         cold = solve_augmented(lp, newcomer)
@@ -189,10 +167,10 @@ class TestWarmResolve:
         flagged = {"duplicate": 0, "vertex": 0}
         for shape in flagged:
             for _ in range(30):
-                _, sol = flagged_or_clean_instance(rng, shape)
+                _, sol = oracle.flagged_or_clean_instance(rng, shape)
                 flagged[shape] += not sol.clean
         assert min(flagged.values()) >= 10, flagged
-        lp, sol = flagged_or_clean_instance(rng, "random")
+        lp, sol = oracle.flagged_or_clean_instance(rng, "random")
         verdict = changes_solution(
             lp, sol, warm_test_newcomer(rng, lp, sol, "tie"), allow_flagged=True
         )

@@ -156,6 +156,12 @@ class TestCliBounds:
         assert lines[0] == "k,t_low,t_high,eps_low,eps_high,eps_explicit"
         assert len(lines) == 5
 
+    def test_stdout_bytes_equal_file_bytes(self, tmp_path, capsysbinary):
+        out = tmp_path / "table.csv"
+        assert main(["bounds", "--m", "2", "--beta", "0.01", "--out", str(out)]) == 0
+        assert main(["bounds", "--m", "2", "--beta", "0.01"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
 
 class TestCliSimulate:
     def test_produces_artifacts(self, tmp_path, capsys):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lp_oracles as oracle
@@ -7,19 +11,22 @@ from share_sense import (
     AgentProfile,
     AssembledLP,
     BasisPartition,
+    CargoConfig,
     FeasibilityCheckFailed,
     InfeasibleProblem,
     InfeasibleStart,
     PivotLimit,
     SharingProblem,
     UnboundedProblem,
+    UniformDemand,
     assemble,
     audit_assumptions,
+    build_problem,
     check_basic_solution,
     reduced_costs,
     solve_primal,
 )
-from share_sense import lp_core
+from share_sense import duality, lp_core
 
 
 def toy_problem():
@@ -209,6 +216,101 @@ class TestWarmStart:
             solve_primal(lp, start=BasisPartition(basic=(0,), at_lower=(1,), at_upper=()))
         with pytest.raises(ValueError, match="partition"):
             solve_primal(lp, start=BasisPartition(basic=(0, 1), at_lower=(2,), at_upper=()))
+
+
+def half_size_cargo_lp(seed):
+    """An m=50 cargo instance on a half-size aircraft (W=10000, V=15)."""
+    config = CargoConfig(
+        m=50, W=10000.0, V=15.0, demand=UniformDemand(d_min=100.0, d_max=400.0)
+    )
+    return assemble(build_problem(config, np.random.default_rng(seed)))
+
+
+def solve_three_ways(lp, refactor_every):
+    """The primal solve and the LP solves behind both explicit duals, with
+    the basis inverse rebuilt every ``refactor_every`` basis changes; each
+    as the bytes of x, the objective, the partition and the flags."""
+    solved = []
+
+    def recording(dual_lp, tol):
+        solved.append(lp_core.solve_primal(dual_lp, tol))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_core, "_REFACTOR_EVERY", refactor_every)
+        mp.setattr(duality, "solve_primal", recording)
+        solved.append(solve_primal(lp))
+        duality.solve_dual_full(lp)
+        duality.solve_dual_relaxation(lp)
+    return [
+        (s.x.tobytes(), s.objective, s.partition.as_sets(), s.degenerate, s.nonunique)
+        for s in solved
+    ]
+
+
+class TestBasisInverseUpdate:
+    """The rank-1 update of the basis inverse against a reference that
+    re-inverts after every basis change, as a solver without the update
+    would: both must take the same pivots and return the same bits."""
+
+    def assert_matches_reference(self, lp):
+        updated = solve_three_ways(lp, lp_core._REFACTOR_EVERY)
+        assert updated == solve_three_ways(lp, 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        for _ in range(20):
+            self.assert_matches_reference(assemble(oracle.random_sharing_problem(rng)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_half_size_cargo(self, seed):
+        self.assert_matches_reference(half_size_cargo_lp(seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "duplicate", "price_tie", "unlimited", "vertex"]),
+    )
+    # rounding chose the pivot here before near-ties went to the lowest
+    # index: reduced costs of a duplicated column, pivot sizes of the two
+    # rows a duplicated agent gives its dual, and a flip tied with a row
+    @example(seed=8, shape="duplicate")
+    @example(seed=2131, shape="duplicate")
+    @example(seed=68, shape="vertex")
+    def test_adversarial_instances(self, seed, shape):
+        lp, _ = oracle.flagged_or_clean_instance(np.random.default_rng(seed), shape)
+        self.assert_matches_reference(lp)
+
+    def test_relaxation_dual_inverts_rarely(self):
+        lp = half_size_cargo_lp(0)
+
+        def inversions_per_phase(refactor_every):
+            counts = []
+            invert, simplex = lp_core._invert_basis, lp_core._bounded_simplex
+
+            def counting_invert(B):
+                counts[-1] += 1
+                return invert(B)
+
+            def counting_simplex(*args):
+                counts.append(0)
+                return simplex(*args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lp_core, "_REFACTOR_EVERY", refactor_every)
+                mp.setattr(lp_core, "_invert_basis", counting_invert)
+                mp.setattr(lp_core, "_bounded_simplex", counting_simplex)
+                duality.solve_dual_relaxation(lp)
+            return counts
+
+        # the reference inverts once on entry and once per basis change
+        changes = [n - 1 for n in inversions_per_phase(1)]
+        assert sum(changes) >= 60
+        counts = inversions_per_phase(lp_core._REFACTOR_EVERY)
+        assert len(counts) == len(changes)
+        for n, k in zip(counts, changes):
+            assert n <= math.ceil(k / lp_core._REFACTOR_EVERY) + 2
 
 
 class TestTypedFailures:
