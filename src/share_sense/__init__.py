@@ -34,7 +34,6 @@ from .duality import (
     verify_complementary_slackness,
 )
 from .errors import (
-    ArrivalFormsDisagree,
     AuditMismatch,
     BracketFailure,
     CountMismatch,

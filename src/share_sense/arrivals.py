@@ -1,10 +1,10 @@
 """Does a newly arriving agent change the optimal allocation?
 
-The certificate evaluates the newcomer's reduced costs against the current
-optimal basis; a strictly negative entry means the enlarged problem has a
-better optimum. ``changes_solution`` also evaluates the multiplier form
-(positive part of -c - lam^T A weighted by the upper limits) and requires the
-two to agree.
+The certificate evaluates the newcomer's reduced costs ``c + lam^T A``
+against the multipliers ``lam`` of the current optimal basis; a strictly
+negative entry means the enlarged problem has a better optimum. ``lam`` is
+solved once per base solution, and every newcomer of a screen, however it was
+sampled, is classified in one array pass over the stacked columns.
 
 The independent check is a re-solve of the enlarged problem. Appending the
 newcomer's columns at their lower bound keeps the old optimal basis feasible,
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import dual_closed_form
-from .errors import ArrivalFormsDisagree, DegenerateBase
+from .errors import DegenerateBase
 from .lp_core import (
     DEFAULT_TOLS,
     AgentProfile,
@@ -29,6 +29,7 @@ from .lp_core import (
     BasisPartition,
     PrimalSolution,
     Tolerances,
+    _any_per_segment,
     solve_primal,
 )
 
@@ -48,26 +49,44 @@ class ArrivalVerdict:
 
     ``changes`` is true iff some reduced-cost entry is below -tol.rc. ``tie``
     marks a vanishing reduced cost: the newcomer could be swapped in at no
-    gain, classified as no change. ``resolve_objective_delta`` is filled only
-    when a re-solve was requested.
+    gain, classified as no change.
     """
 
     changes: bool
     reduced_costs: np.ndarray
     tie: bool
-    resolve_objective_delta: float | None = None
 
 
-def _dual_form_changes(
-    lam: np.ndarray, newcomer: AgentProfile, tol: Tolerances
-) -> bool:
-    """max{0, -c - lam^T A} d > 0 with the convention inf * 0 = 0."""
-    gain = np.maximum(0.0, -newcomer.c - lam @ newcomer.A)
-    gain[gain <= tol.rc] = 0.0
-    finite = np.isfinite(newcomer.d)
-    weighted = np.where(finite, gain * np.where(finite, newcomer.d, 0.0), 0.0)
-    weighted = np.where(~finite & (gain > 0.0), np.inf, weighted)
-    return bool(weighted.sum() > 0.0)
+def _check_base(solution: PrimalSolution, allow_flagged: bool) -> None:
+    if not solution.clean and not allow_flagged:
+        raise DegenerateBase(
+            "base solution carries degeneracy/non-uniqueness flags; verdict would be unreliable"
+        )
+
+
+def _check_rows(lp: AssembledLP, A: np.ndarray) -> None:
+    if A.shape[0] != lp.p:
+        raise ValueError(
+            f"newcomer usage matrix has {A.shape[0]} rows, expected p={lp.p}"
+        )
+
+
+def _classify(lam: np.ndarray, c: np.ndarray, A: np.ndarray, starts, tol: Tolerances):
+    """Reduced costs of stacked newcomer columns and per-newcomer flags.
+
+    Newcomer i owns the columns from ``starts[i]`` up to the next start. It
+    changes the optimum iff one of its reduced costs is below -tol.rc, and
+    ties iff it does not and one of them vanishes. ``lam^T A`` is summed row
+    by row, because a BLAS product rounds a column by its place in the stack.
+    Returns (rc, changed, tie).
+    """
+    rc = lam[0] * A[0]
+    for k in range(1, lam.size):
+        rc += lam[k] * A[k]
+    rc += c
+    changed = _any_per_segment(rc < -tol.rc, starts)
+    tie = ~changed & _any_per_segment(np.abs(rc) <= tol.rc, starts)
+    return rc, changed, tie
 
 
 def changes_solution(
@@ -75,49 +94,24 @@ def changes_solution(
     solution: PrimalSolution,
     newcomer: AgentProfile,
     tol: Tolerances = DEFAULT_TOLS,
-    resolve: bool = False,
     allow_flagged: bool = False,
 ) -> ArrivalVerdict:
     """Reduced-cost certificate: would adding ``newcomer`` move the optimum?
 
     Refuses flagged (degenerate or non-unique) base solutions unless
     ``allow_flagged`` is set, because the certificate is only reliable under
-    the clean-basis conditions. Both the direct reduced-cost form and the
-    multiplier form are evaluated and must classify identically.
+    the clean-basis conditions.
     """
-    if not solution.clean and not allow_flagged:
-        raise DegenerateBase(
-            "base solution carries degeneracy/non-uniqueness flags; verdict would be unreliable"
-        )
-    if newcomer.A.shape[0] != lp.p:
-        raise ValueError(
-            f"newcomer usage matrix has {newcomer.A.shape[0]} rows, expected p={lp.p}"
-        )
+    _check_base(solution, allow_flagged)
+    _check_rows(lp, newcomer.A)
     lam = dual_closed_form(lp, solution.partition)
-    rc = newcomer.c + lam @ newcomer.A
-    changes = bool(np.any(rc < -tol.rc))
-    tie = bool(not changes and np.any(np.abs(rc) <= tol.rc))
-
-    if _dual_form_changes(lam, newcomer, tol) != changes:
-        raise ArrivalFormsDisagree(
-            "reduced-cost and multiplier forms of the arrival test disagree"
-        )
-
-    delta = None
-    if resolve:
-        augmented = solve_augmented(lp, newcomer, tol)
-        delta = float(augmented.objective - solution.objective)
-    return ArrivalVerdict(
-        changes=changes, reduced_costs=rc, tie=tie, resolve_objective_delta=delta
-    )
+    rc, changed, tie = _classify(lam, newcomer.c, newcomer.A, (0,), tol)
+    return ArrivalVerdict(changes=bool(changed[0]), reduced_costs=rc, tie=bool(tie[0]))
 
 
 def augment(lp: AssembledLP, newcomer: AgentProfile) -> AssembledLP:
     """The LP with the newcomer's block appended after all existing agents."""
-    if newcomer.A.shape[0] != lp.p:
-        raise ValueError(
-            f"newcomer usage matrix has {newcomer.A.shape[0]} rows, expected p={lp.p}"
-        )
+    _check_rows(lp, newcomer.A)
     start = lp.ell
     return AssembledLP(
         A=np.hstack([lp.A, newcomer.A]),
@@ -156,8 +150,8 @@ def solve_augmented(
 def _resolve_says_changed(
     base: PrimalSolution, augmented: PrimalSolution, tol: Tolerances
 ) -> bool:
-    newcomer_idx = augmented.agent_index_map[-1]
-    if np.any(np.abs(augmented.x[newcomer_idx]) > tol.act):
+    start, stop = augmented.agent_spans[-1]
+    if np.any(np.abs(augmented.x[start:stop]) > tol.act):
         return True
     rel = abs(augmented.objective - base.objective) / (1.0 + abs(base.objective))
     return rel > 1e-8
@@ -209,34 +203,33 @@ def empirical_violation_probability(
 
     ``sampler(rng)`` must return an AgentProfile; a sampler exposing
     ``sample_batch(draws, rng) -> (c, d, A)`` (stacked arrays for scalar
-    agents) enables the vectorized path. The certificate is the default;
-    re-solves run only on the audit subsample.
+    agents) is asked for the whole batch at once. Either way the newcomers
+    are classified together by the certificate; re-solves run only on the
+    audit subsample.
     """
     if draws < 1:
         raise ValueError("need at least one draw")
-    if not solution.clean and not allow_flagged:
-        raise DegenerateBase(
-            "base solution carries degeneracy/non-uniqueness flags"
-        )
+    _check_base(solution, allow_flagged)
 
     if hasattr(sampler, "sample_batch"):
         cs, ds, As = sampler.sample_batch(draws, rng)
-        rc = cs + dual_closed_form(lp, solution.partition) @ As
-        changed = rc < -tol.rc
-        ties = (~changed) & (np.abs(rc) <= tol.rc)
+        _check_rows(lp, As)
+        starts = range(draws)  # one column each; a range allocates no array
 
         def newcomer(i: int) -> AgentProfile:
             return AgentProfile(n=1, c=cs[i : i + 1], d=ds[i : i + 1], A=As[:, i : i + 1])
 
     else:
         newcomers = [sampler(rng) for _ in range(draws)]
-        verdicts = [
-            changes_solution(lp, solution, nc, tol, allow_flagged=allow_flagged)
-            for nc in newcomers
-        ]
-        changed = np.array([v.changes for v in verdicts], dtype=bool)
-        ties = np.array([v.tie for v in verdicts], dtype=bool)
+        for nc in newcomers:
+            _check_rows(lp, nc.A)
+        cs = np.concatenate([nc.c for nc in newcomers])
+        As = np.hstack([nc.A for nc in newcomers])
+        starts = np.cumsum([0] + [nc.n for nc in newcomers[:-1]])
         newcomer = newcomers.__getitem__
+
+    lam = dual_closed_form(lp, solution.partition)
+    _, changed, ties = _classify(lam, cs, As, starts, tol)
 
     audited = mismatches = 0
     audit_step = int(round(1.0 / audit_fraction)) if audit_fraction > 0.0 else 0

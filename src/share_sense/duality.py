@@ -61,7 +61,7 @@ def relaxation_values(lp: AssembledLP, nu: np.ndarray) -> np.ndarray:
     finite = np.isfinite(lp.d)
     contrib = np.where(finite, nu * np.where(finite, lp.d, 0.0), 0.0)
     contrib = np.where(~finite & (nu > 0.0), np.inf, contrib)
-    return np.array([contrib[lp.agent_indices(i)].sum() for i in range(lp.m)])
+    return np.array([contrib[start:stop].sum() for start, stop in lp.agent_spans])
 
 
 def closed_form_certificate(

@@ -56,11 +56,6 @@ class CountMismatch(ShareSenseError):
     clean solve."""
 
 
-class ArrivalFormsDisagree(ShareSenseError):
-    """The reduced-cost and multiplier forms of the arrival test classify a
-    newcomer differently (for instance when gain x d underflows to zero)."""
-
-
 class TableCheckFailed(ShareSenseError):
     """An epsilon table violates root ordering, bound ordering, the k = m
     boundary values or the root-residual tolerance."""

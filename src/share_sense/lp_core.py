@@ -176,7 +176,8 @@ class AssembledLP:
     """Dense stacked form of a sharing problem (or any bounded LP).
 
     Column order is the slack block first, then agents in input order;
-    ``agent_spans`` holds the half-open column range of each agent.
+    ``agent_spans`` holds the half-open column range of each agent. The spans
+    are nonempty and consecutive, and the last one ends at the last column.
     """
 
     A: np.ndarray
@@ -214,10 +215,6 @@ class AssembledLP:
     def m(self) -> int:
         return len(self.agent_spans)
 
-    def agent_indices(self, i: int) -> np.ndarray:
-        start, stop = self.agent_spans[i]
-        return np.arange(start, stop)
-
 
 @dataclass(frozen=True, eq=False)
 class BasisPartition:
@@ -235,7 +232,7 @@ class BasisPartition:
 
 @dataclass(frozen=True, eq=False)
 class PrimalSolution:
-    """Optimal basic feasible solution with its partition and agent map.
+    """Optimal basic feasible solution with its partition and agent spans.
 
     ``degenerate`` is set when a basic variable sits at a bound (more active
     constraints than variables); ``nonunique`` when some non-basic reduced
@@ -247,13 +244,27 @@ class PrimalSolution:
     x: np.ndarray
     objective: float
     partition: BasisPartition
-    agent_index_map: tuple[np.ndarray, ...]
+    agent_spans: tuple[tuple[int, int], ...]
     degenerate: bool = False
     nonunique: bool = False
 
     @property
     def clean(self) -> bool:
         return not (self.degenerate or self.nonunique)
+
+    @property
+    def agent_index_map(self) -> tuple[np.ndarray, ...]:
+        """Column indices of each agent, built from ``agent_spans``."""
+        return tuple(np.arange(start, stop) for start, stop in self.agent_spans)
+
+
+def _any_per_segment(flags: np.ndarray, starts) -> np.ndarray:
+    """Logical or of ``flags`` over consecutive nonempty segments, the i-th
+    from ``starts[i]`` to the next start (the last to the end of ``flags``).
+    With one start per flag the segments are single and ``flags`` returns."""
+    if len(starts) == flags.size:
+        return flags
+    return np.logical_or.reduceat(flags, starts)
 
 
 def assemble(problem: SharingProblem) -> AssembledLP:
@@ -325,26 +336,28 @@ def _invert_basis(B: np.ndarray) -> np.ndarray:
         raise SingularBasis("basis matrix is singular") from exc
 
 
-def _bounded_simplex(A, b, c, d, basis, vstat, tol: Tolerances, max_iter: int):
+def _bounded_simplex(A, b, c, d, basis, vstat, tol: Tolerances, max_iter: int, Binv=None):
     """Pivot until optimal, keeping the basis inverse across pivots.
 
-    The basis is inverted once on entry. A basis change updates the inverse
-    by rank 1 (the eta update with the entering column ``Binv @ A[:, j]``);
-    a bound flip leaves the basis, and so the inverse, unchanged. Every
-    ``_REFACTOR_EVERY`` basis changes the inverse is rebuilt from
-    ``A[:, basis]`` to shed the rounding the updates accumulate. When pricing
-    on an updated inverse finds no entering column, the basis is re-inverted
-    and priced again before optimality is declared, so the returned values
-    always come from a fresh inverse of the final basis. Ties within ``_TIE``
-    in pricing and pivot size, and within rounding in step length, are broken
-    by position, so a fresh and an updated inverse take the same pivots.
+    The basis is inverted once on entry unless the caller passes its inverse
+    as ``Binv``. A basis change updates the inverse by rank 1 (the eta update
+    with the entering column ``Binv @ A[:, j]``); a bound flip leaves the
+    basis, and so the inverse, unchanged. Every ``_REFACTOR_EVERY`` basis
+    changes the inverse is rebuilt from ``A[:, basis]`` to shed the rounding
+    the updates accumulate. When pricing on an updated inverse finds no
+    entering column, the basis is re-inverted and priced again before
+    optimality is declared, so the returned values always come from a fresh
+    inverse of the final basis. Ties within ``_TIE`` in pricing and pivot
+    size, and within rounding in step length, are broken by position, so a
+    fresh and an updated inverse take the same pivots.
 
     ``basis`` (row -> column) and ``vstat`` are updated in place. Returns the
     final (x, y, r): full primal vector, row multipliers, reduced costs.
     """
     bland = False
     degen_run = 0
-    Binv = _invert_basis(A[:, basis])
+    if Binv is None:
+        Binv = _invert_basis(A[:, basis])
     changes = 0  # basis changes since Binv was last inverted
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
@@ -503,8 +516,8 @@ def _phase1(A, b, d, tol: Tolerances, max_iter: int):
 
 
 def _start_basis(A, b, d, start: BasisPartition, tol: Tolerances):
-    """Basis and statuses of a caller's partition; raise InfeasibleStart
-    unless its basic values lie within their bounds."""
+    """Basis, statuses and basis inverse of a caller's partition; raise
+    InfeasibleStart unless its basic values lie within their bounds."""
     p, ell = A.shape
     basis = np.array(start.basic, dtype=int)
     indices = np.concatenate([basis, start.at_lower, start.at_upper]).astype(int)
@@ -516,14 +529,15 @@ def _start_basis(A, b, d, start: BasisPartition, tol: Tolerances):
     vstat = np.full(ell, _AT_LOWER, dtype=int)
     vstat[list(start.at_upper)] = _AT_UPPER
     vstat[basis] = _BASIC
+    Binv = _invert_basis(A[:, basis])
     with np.errstate(invalid="ignore"):
-        xB = _invert_basis(A[:, basis]) @ (b - A @ _nonbasic_values(vstat, d))
+        xB = Binv @ (b - A @ _nonbasic_values(vstat, d))
         inside = np.all(xB >= -tol.feas) and np.all(xB <= d[basis] + tol.feas)
     if not inside:
         raise InfeasibleStart(
             f"start basis puts a basic variable outside its bounds: x_B = {xB}"
         )
-    return basis, vstat
+    return basis, vstat, Binv
 
 
 def _row_scale(lp: AssembledLP) -> np.ndarray:
@@ -559,9 +573,10 @@ def solve_primal(
     max_iter = 2000 + 60 * (ell + p)
     if start is None:
         basis, vstat = _phase1(As, bs, lp.d, tol, max_iter)
+        Binv = None
     else:
-        basis, vstat = _start_basis(As, bs, lp.d, start, tol)
-    x, _, r = _bounded_simplex(As, bs, lp.c, lp.d, basis, vstat, tol, max_iter)
+        basis, vstat, Binv = _start_basis(As, bs, lp.d, start, tol)
+    x, _, r = _bounded_simplex(As, bs, lp.c, lp.d, basis, vstat, tol, max_iter, Binv)
 
     residual = float(np.max(np.abs(As @ x - bs), initial=0.0))
     if residual > 10.0 * tol.feas:
@@ -579,16 +594,15 @@ def solve_primal(
     nonunique = bool(np.any(np.abs(r[nonbasic]) <= tol.rc))
 
     partition = BasisPartition(
-        basic=tuple(int(j) for j in basis),
-        at_lower=tuple(int(j) for j in np.flatnonzero(vstat == _AT_LOWER)),
-        at_upper=tuple(int(j) for j in np.flatnonzero(vstat == _AT_UPPER)),
+        basic=tuple(basis.tolist()),
+        at_lower=tuple(np.flatnonzero(vstat == _AT_LOWER).tolist()),
+        at_upper=tuple(np.flatnonzero(vstat == _AT_UPPER).tolist()),
     )
-    agent_map = tuple(lp.agent_indices(i) for i in range(lp.m))
     return PrimalSolution(
         x=x,
         objective=float(lp.c @ x),
         partition=partition,
-        agent_index_map=agent_map,
+        agent_spans=lp.agent_spans,
         degenerate=degenerate,
         nonunique=nonunique,
     )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .duality import DualCertificate
 from .errors import BracketFailure, TableCheckFailed
-from .lp_core import DEFAULT_TOLS, AssembledLP, PrimalSolution, Tolerances
+from .lp_core import DEFAULT_TOLS, AssembledLP, PrimalSolution, Tolerances, _any_per_segment
 
 __all__ = [
     "EpsilonTable",
@@ -415,11 +415,9 @@ def epsilon_table(m: int, beta: float) -> EpsilonTable:
 
 def count_active_primal(solution: PrimalSolution, tol: Tolerances = DEFAULT_TOLS) -> int:
     """Number of agents with at least one decision component away from zero.
-    The slack block is excluded by construction of the agent index map."""
-    x = solution.x
-    return sum(
-        1 for idx in solution.agent_index_map if np.any(np.abs(x[idx]) > tol.act)
-    )
+    The slack block lies before the first agent span and is left out."""
+    starts = [start for start, _ in solution.agent_spans]
+    return int(np.count_nonzero(_any_per_segment(np.abs(solution.x) > tol.act, starts)))
 
 
 def count_active_dual(
@@ -430,13 +428,9 @@ def count_active_dual(
     multiplier (some coordinate gradient vanishing). The two sets are disjoint
     because the boundary test requires the relaxation value to be zero."""
     grad = -lp.c - cert.lam @ lp.A
-    count = 0
-    for i in range(lp.m):
-        if cert.h[i] > tol.act:
-            count += 1
-        elif np.any(np.abs(grad[lp.agent_indices(i)]) <= tol.act):
-            count += 1
-    return count
+    starts = [start for start, _ in lp.agent_spans]
+    tight = _any_per_segment(np.abs(grad) <= tol.act, starts)
+    return int(np.count_nonzero((cert.h > tol.act) | tight))
 
 
 def sensitivity_interval(
@@ -444,7 +438,7 @@ def sensitivity_interval(
 ) -> tuple[float, float, int]:
     """Interval for the probability that a random new agent changes the
     optimum: the table row selected by the observed active-agent count."""
-    m = len(solution.agent_index_map)
+    m = len(solution.agent_spans)
     if m != table.m:
         raise ValueError(f"table was built for m={table.m}, solution has m={m} agents")
     s_star = count_active_primal(solution, tol)

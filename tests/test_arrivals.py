@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 import lp_oracles as oracle
 from share_sense import (
     AgentProfile,
-    ArrivalFormsDisagree,
     CargoArrivalSampler,
     CargoConfig,
     DegenerateBase,
@@ -41,13 +40,26 @@ def unprofitable_newcomer():
     return AgentProfile(n=1, c=[-0.5], d=[1.0], A=[[1.0]])
 
 
+def replay_samplers(newcomers):
+    """A per-profile sampler and a batch sampler serving ``newcomers``, which
+    must have one column each, in order."""
+    queue = iter(newcomers)
+
+    class Batch:
+        def sample_batch(self, draws, rng):
+            return tuple(np.hstack([getattr(nc, k) for nc in newcomers]) for k in "cdA")
+
+    return [lambda rng: next(queue), Batch()]
+
+
 class TestChangesSolution:
     def test_profitable_arrival_changes(self, toy):
         lp, sol = toy
-        verdict = changes_solution(lp, sol, profitable_newcomer(), resolve=True)
+        verdict = changes_solution(lp, sol, profitable_newcomer())
         assert verdict.changes
         assert_allclose(verdict.reduced_costs, [-4.0], atol=1e-12)
-        assert verdict.resolve_objective_delta == pytest.approx(-4.0, abs=1e-9)
+        plus = solve_augmented(lp, profitable_newcomer())
+        assert plus.objective - sol.objective == pytest.approx(-4.0, abs=1e-9)
 
     def test_unprofitable_arrival_keeps_solution(self, toy):
         lp, sol = toy
@@ -74,21 +86,26 @@ class TestChangesSolution:
         verdict = changes_solution(lp, sol, profitable_newcomer(), allow_flagged=True)
         assert verdict.changes
 
-    def test_underflowing_weight_is_typed(self):
-        # gain * d underflows to 0, so the multiplier form says "no change"
-        # while the reduced cost -1e-8 says "change"
+    def test_underflowing_weight_changes_on_every_path(self):
+        # the reduced cost -1e-8 is a change even though gain * d underflows
+        # to 0; one newcomer and both sampler paths say so alike
         one = AgentProfile(n=1, c=[-1.0], d=[1.0], A=[[1.0]])
         lp = assemble(SharingProblem(p=1, n0=1, b=[2.0], agents=(one,)))
         sol = solve_primal(lp)
         tiny = AgentProfile(n=1, c=[-1e-8], d=[1e-320], A=[[1.0]])
-        with pytest.raises(ArrivalFormsDisagree, match="disagree"):
-            changes_solution(lp, sol, tiny)
+        assert changes_solution(lp, sol, tiny).changes
+        for sampler in replay_samplers([tiny] * 3):
+            est = empirical_violation_probability(lp, sol, sampler, 3, np.random.default_rng(0))
+            assert (est.changes, est.ties) == (3, 0)
 
     def test_dimension_mismatch_rejected(self, toy):
         lp, sol = toy
         wide = AgentProfile(n=1, c=[-1.0], d=[1.0], A=[[1.0], [1.0]])
         with pytest.raises(ValueError, match="rows"):
             changes_solution(lp, sol, wide)
+        for sampler in replay_samplers([wide, wide]):
+            with pytest.raises(ValueError, match="rows"):
+                empirical_violation_probability(lp, sol, sampler, 2, np.random.default_rng(0))
 
 
 class TestSolveAugmented:
@@ -193,7 +210,7 @@ class TestWarmResolve:
 def test_multiplier_form_is_the_negated_reduced_cost(data, p, draws):
     """The multiplier form max(0, -c - lam^T A) is max(0, -rc) to the last
     bit, so it cannot classify an arrival differently from rc < -tol.rc.
-    That is why the batch path carries no multiplier re-check."""
+    That is why the arrival screen evaluates the reduced cost alone."""
     finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     lam = data.draw(hnp.arrays(float, p, elements=finite))
     cs = data.draw(hnp.arrays(float, draws, elements=finite))
@@ -203,6 +220,39 @@ def test_multiplier_form_is_the_negated_reduced_cost(data, p, draws):
     assert np.array_equal(gain, np.maximum(0.0, -rc))
     gain[gain <= DEFAULT_TOLS.rc] = 0.0
     assert np.array_equal(gain > 0.0, rc < -DEFAULT_TOLS.rc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["random", "duplicate", "vertex"]),
+    kinds=st.lists(st.sampled_from(["random", "tie", "wide"]), min_size=1, max_size=12),
+)
+# here a BLAS product over the stack rounds the third column unlike one over it alone
+@example(seed=119, shape="random", kinds=["random", "random", "random"])
+def test_stacked_screen_matches_one_at_a_time(seed, shape, kinds):
+    """Classifying stacked newcomers in one pass gives the same reduced-cost
+    bits and flags as classifying each newcomer alone."""
+    rng = np.random.default_rng(seed)
+    lp, sol = oracle.flagged_or_clean_instance(rng, shape)
+    newcomers = [warm_test_newcomer(rng, lp, sol, kind) for kind in kinds]
+    alone = [changes_solution(lp, sol, nc, allow_flagged=True) for nc in newcomers]
+    starts = np.cumsum([0] + [nc.n for nc in newcomers[:-1]])
+    rc, changed, tie = arrivals._classify(
+        arrivals.dual_closed_form(lp, sol.partition),
+        np.concatenate([nc.c for nc in newcomers]),
+        np.hstack([nc.A for nc in newcomers]),
+        starts,
+        DEFAULT_TOLS,
+    )
+    assert rc.tobytes() == np.concatenate([v.reduced_costs for v in alone]).tobytes()
+    assert changed.tolist() == [v.changes for v in alone]
+    assert tie.tolist() == [v.tie for v in alone]
+    queue = iter(newcomers)
+    est = empirical_violation_probability(
+        lp, sol, lambda rng: next(queue), len(newcomers), rng, allow_flagged=True
+    )
+    assert (est.changes, est.ties) == (sum(changed), sum(tie))
 
 
 class TestCertificateMatchesResolve:
@@ -270,26 +320,15 @@ class TestEmpiricalViolationProbability:
         lp = assemble(build_problem(config, stream(3, 0, "agents")))
         sol = solve_primal(lp)
         cs, ds, As = CargoArrivalSampler(config).sample_batch(400, stream(3, 0, "arrivals"))
-
-        class Replay:
-            """Serves one fixed batch either way."""
-
-            def __init__(self, with_batch):
-                self.with_batch = with_batch
-                self.cursor = 0
-                if with_batch:
-                    self.sample_batch = lambda draws, rng: (cs, ds, As)
-
-            def __call__(self, rng):
-                i = self.cursor
-                self.cursor += 1
-                return AgentProfile(n=1, c=cs[i : i + 1], d=ds[i : i + 1], A=As[:, i : i + 1])
-
-        est_batch = empirical_violation_probability(
-            lp, sol, Replay(True), 400, np.random.default_rng(0), audit_fraction=0.05
-        )
-        est_loop = empirical_violation_probability(
-            lp, sol, Replay(False), 400, np.random.default_rng(0), audit_fraction=0.05
+        newcomers = [
+            AgentProfile(n=1, c=cs[i : i + 1], d=ds[i : i + 1], A=As[:, i : i + 1])
+            for i in range(400)
+        ]
+        est_loop, est_batch = (
+            empirical_violation_probability(
+                lp, sol, sampler, 400, np.random.default_rng(0), audit_fraction=0.05
+            )
+            for sampler in replay_samplers(newcomers)
         )
         assert est_batch.changes == est_loop.changes
         assert est_batch.ties == est_loop.ties
