@@ -49,14 +49,12 @@ from .errors import (
     UnboundedProblem,
 )
 from .lp_core import (
-    DEFAULT_TOLS,
     AgentProfile,
     AssembledLP,
     AuditReport,
     BasisPartition,
     PrimalSolution,
     SharingProblem,
-    Tolerances,
     assemble,
     audit_assumptions,
     check_basic_solution,

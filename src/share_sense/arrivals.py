@@ -23,12 +23,12 @@ import numpy as np
 from .duality import dual_closed_form
 from .errors import DegenerateBase
 from .lp_core import (
-    DEFAULT_TOLS,
+    ACT_TOL,
+    RC_TOL,
     AgentProfile,
     AssembledLP,
     BasisPartition,
     PrimalSolution,
-    Tolerances,
     _any_per_segment,
     solve_primal,
 )
@@ -47,7 +47,7 @@ __all__ = [
 class ArrivalVerdict:
     """Outcome of the reduced-cost test for one newcomer.
 
-    ``changes`` is true iff some reduced-cost entry is below -tol.rc. ``tie``
+    ``changes`` is true iff some reduced-cost entry is below -RC_TOL. ``tie``
     marks a vanishing reduced cost: the newcomer could be swapped in at no
     gain, classified as no change.
     """
@@ -71,11 +71,11 @@ def _check_rows(lp: AssembledLP, A: np.ndarray) -> None:
         )
 
 
-def _classify(lam: np.ndarray, c: np.ndarray, A: np.ndarray, starts, tol: Tolerances):
+def _classify(lam: np.ndarray, c: np.ndarray, A: np.ndarray, starts):
     """Reduced costs of stacked newcomer columns and per-newcomer flags.
 
     Newcomer i owns the columns from ``starts[i]`` up to the next start. It
-    changes the optimum iff one of its reduced costs is below -tol.rc, and
+    changes the optimum iff one of its reduced costs is below -RC_TOL, and
     ties iff it does not and one of them vanishes. ``lam^T A`` is summed row
     by row, because a BLAS product rounds a column by its place in the stack.
     Returns (rc, changed, tie).
@@ -84,8 +84,8 @@ def _classify(lam: np.ndarray, c: np.ndarray, A: np.ndarray, starts, tol: Tolera
     for k in range(1, lam.size):
         rc += lam[k] * A[k]
     rc += c
-    changed = _any_per_segment(rc < -tol.rc, starts)
-    tie = ~changed & _any_per_segment(np.abs(rc) <= tol.rc, starts)
+    changed = _any_per_segment(rc < -RC_TOL, starts)
+    tie = ~changed & _any_per_segment(np.abs(rc) <= RC_TOL, starts)
     return rc, changed, tie
 
 
@@ -93,7 +93,6 @@ def changes_solution(
     lp: AssembledLP,
     solution: PrimalSolution,
     newcomer: AgentProfile,
-    tol: Tolerances = DEFAULT_TOLS,
     allow_flagged: bool = False,
 ) -> ArrivalVerdict:
     """Reduced-cost certificate: would adding ``newcomer`` move the optimum?
@@ -105,7 +104,7 @@ def changes_solution(
     _check_base(solution, allow_flagged)
     _check_rows(lp, newcomer.A)
     lam = dual_closed_form(lp, solution.partition)
-    rc, changed, tie = _classify(lam, newcomer.c, newcomer.A, (0,), tol)
+    rc, changed, tie = _classify(lam, newcomer.c, newcomer.A, (0,))
     return ArrivalVerdict(changes=bool(changed[0]), reduced_costs=rc, tie=bool(tie[0]))
 
 
@@ -124,10 +123,7 @@ def augment(lp: AssembledLP, newcomer: AgentProfile) -> AssembledLP:
 
 
 def solve_augmented(
-    lp: AssembledLP,
-    newcomer: AgentProfile,
-    tol: Tolerances = DEFAULT_TOLS,
-    base: PrimalSolution | None = None,
+    lp: AssembledLP, newcomer: AgentProfile, base: PrimalSolution | None = None
 ) -> PrimalSolution:
     """Re-solve with the newcomer included. The old optimum padded with zeros
     stays feasible, so the objective can only improve or stay equal.
@@ -144,14 +140,12 @@ def solve_augmented(
             at_lower=part.at_lower + tuple(range(lp.ell, augmented.ell)),
             at_upper=part.at_upper,
         )
-    return solve_primal(augmented, tol, start=start)
+    return solve_primal(augmented, start=start)
 
 
-def _resolve_says_changed(
-    base: PrimalSolution, augmented: PrimalSolution, tol: Tolerances
-) -> bool:
+def _resolve_says_changed(base: PrimalSolution, augmented: PrimalSolution) -> bool:
     start, stop = augmented.agent_spans[-1]
-    if np.any(np.abs(augmented.x[start:stop]) > tol.act):
+    if np.any(np.abs(augmented.x[start:stop]) > ACT_TOL):
         return True
     rel = abs(augmented.objective - base.objective) / (1.0 + abs(base.objective))
     return rel > 1e-8
@@ -162,11 +156,10 @@ def _audit_disagrees(
     solution: PrimalSolution,
     newcomer: AgentProfile,
     changes: bool,
-    tol: Tolerances,
 ) -> bool:
     """Re-solve warm from ``solution`` and compare with the certificate."""
-    augmented = solve_augmented(lp, newcomer, tol, base=solution)
-    return _resolve_says_changed(solution, augmented, tol) != changes
+    augmented = solve_augmented(lp, newcomer, base=solution)
+    return _resolve_says_changed(solution, augmented) != changes
 
 
 @dataclass(frozen=True)
@@ -195,7 +188,6 @@ def empirical_violation_probability(
     sampler,
     draws: int,
     rng: np.random.Generator,
-    tol: Tolerances = DEFAULT_TOLS,
     audit_fraction: float = 0.0,
     allow_flagged: bool = False,
 ) -> ViolationEstimate:
@@ -205,10 +197,12 @@ def empirical_violation_probability(
     ``sample_batch(draws, rng) -> (c, d, A)`` (stacked arrays for scalar
     agents) is asked for the whole batch at once. Either way the newcomers
     are classified together by the certificate; re-solves run only on the
-    audit subsample.
+    audit subsample: every ``round(1 / audit_fraction)``-th draw, ties skipped.
     """
     if draws < 1:
         raise ValueError("need at least one draw")
+    if not 0.0 <= audit_fraction <= 1.0:
+        raise ValueError(f"audit_fraction must lie in [0, 1], got {audit_fraction}")
     _check_base(solution, allow_flagged)
 
     if hasattr(sampler, "sample_batch"):
@@ -229,7 +223,7 @@ def empirical_violation_probability(
         newcomer = newcomers.__getitem__
 
     lam = dual_closed_form(lp, solution.partition)
-    _, changed, ties = _classify(lam, cs, As, starts, tol)
+    _, changed, ties = _classify(lam, cs, As, starts)
 
     audited = mismatches = 0
     audit_step = int(round(1.0 / audit_fraction)) if audit_fraction > 0.0 else 0
@@ -238,7 +232,7 @@ def empirical_violation_probability(
             if ties[i]:
                 continue
             audited += 1
-            mismatches += _audit_disagrees(lp, solution, newcomer(i), bool(changed[i]), tol)
+            mismatches += _audit_disagrees(lp, solution, newcomer(i), bool(changed[i]))
     n_changes = int(changed.sum())
     return ViolationEstimate(
         fraction=n_changes / draws,

@@ -23,14 +23,7 @@ from . import rng as rng_streams
 from .arrivals import empirical_violation_probability
 from .duality import closed_form_certificate
 from .errors import AuditMismatch, CountMismatch
-from .lp_core import (
-    DEFAULT_TOLS,
-    AgentProfile,
-    SharingProblem,
-    Tolerances,
-    assemble,
-    solve_primal,
-)
+from .lp_core import AgentProfile, SharingProblem, assemble, solve_primal
 from .sensitivity import (
     EpsilonTable,
     count_active_dual,
@@ -51,6 +44,8 @@ __all__ = [
     "sample_cargo_agent",
 ]
 
+_AUDIT_FRACTION = 0.01  # share of a clean trial's arrivals re-solved as a check
+
 
 @dataclass(frozen=True)
 class UniformDemand:
@@ -68,7 +63,8 @@ class UniformDemand:
 @dataclass(frozen=True)
 class TruncatedGaussianDemand:
     """Gaussian demand truncated to positive values by rejection: resample
-    until positive. Acceptance is high for the intended mean/variance."""
+    until positive. ``mu > 0`` keeps each draw's acceptance above 1/2; with a
+    mean far below zero the loop would practically never end."""
 
     mu: float
     sigma2: float
@@ -76,6 +72,8 @@ class TruncatedGaussianDemand:
     def __post_init__(self):
         if self.sigma2 <= 0.0:
             raise ValueError("need sigma2 > 0")
+        if self.mu <= 0.0:
+            raise ValueError("need mu > 0")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         sigma = float(np.sqrt(self.sigma2))
@@ -192,13 +190,7 @@ class TrialRecord:
         return self.eps_low <= self.p_hat <= self.eps_high
 
 
-def run_trial(
-    config: CargoConfig,
-    trial_index: int,
-    table: EpsilonTable,
-    tol: Tolerances = DEFAULT_TOLS,
-    audit_fraction: float = 0.01,
-) -> TrialRecord:
+def run_trial(config: CargoConfig, trial_index: int, table: EpsilonTable) -> TrialRecord:
     """Solve one batch, count active agents (primal and dual reads must agree
     on clean trials), and estimate the arrival-change probability.
 
@@ -209,12 +201,12 @@ def run_trial(
     agent_rng = rng_streams.stream(config.seed, trial_index, "agents")
     problem = build_problem(config, agent_rng)
     lp = assemble(problem)
-    solution = solve_primal(lp, tol)
+    solution = solve_primal(lp)
 
-    s_star = count_active_primal(solution, tol)
+    s_star = count_active_primal(solution)
     if solution.clean:
-        cert = closed_form_certificate(lp, solution, tol)
-        s_dual = count_active_dual(lp, cert, tol)
+        cert = closed_form_certificate(lp, solution)
+        s_dual = count_active_dual(lp, cert)
         if s_dual != s_star:
             raise CountMismatch(
                 f"trial {trial_index}: primal count {s_star} != dual count {s_dual} on a clean solve"
@@ -227,8 +219,7 @@ def run_trial(
         CargoArrivalSampler(config),
         config.n_arrivals,
         arrival_rng,
-        tol,
-        audit_fraction=audit_fraction if solution.clean else 0.0,
+        audit_fraction=_AUDIT_FRACTION if solution.clean else 0.0,
         allow_flagged=True,
     )
     if estimate.audit_mismatches:
@@ -263,15 +254,13 @@ class CampaignSummary:
 
 
 def run_campaign(
-    config: CargoConfig,
-    table: EpsilonTable | None = None,
-    tol: Tolerances = DEFAULT_TOLS,
+    config: CargoConfig, table: EpsilonTable | None = None
 ) -> tuple[list[TrialRecord], CampaignSummary]:
     """All trials of a campaign, in trial order. Results are deterministic
     functions of (config, seed) alone."""
     if table is None:
         table = epsilon_table(config.m, config.beta)
-    records = [run_trial(config, i, table, tol) for i in range(config.trials)]
+    records = [run_trial(config, i, table) for i in range(config.trials)]
 
     clean = [r for r in records if r.clean]
     summary = CampaignSummary(

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import (
-    DEFAULT_TOLS,
-    AssembledLP,
-    PrimalSolution,
-    Tolerances,
-    dual_closed_form,
-    solve_primal,
-)
+from .lp_core import ACT_TOL, AssembledLP, PrimalSolution, dual_closed_form, solve_primal
 
 __all__ = [
     "DualCertificate",
@@ -64,9 +57,7 @@ def relaxation_values(lp: AssembledLP, nu: np.ndarray) -> np.ndarray:
     return np.array([contrib[start:stop].sum() for start, stop in lp.agent_spans])
 
 
-def closed_form_certificate(
-    lp: AssembledLP, solution: PrimalSolution, tol: Tolerances = DEFAULT_TOLS
-) -> DualCertificate:
+def closed_form_certificate(lp: AssembledLP, solution: PrimalSolution) -> DualCertificate:
     """Full certificate implied by the optimal basis: lam from the closed
     form, nu as the positive part of -c - lam^T A (exactly zero on the slack
     block and wherever the upper limit is infinite)."""
@@ -146,7 +137,7 @@ def _extract_lam_nu(lp: AssembledLP, x: np.ndarray, meta) -> tuple[np.ndarray, n
     return lam, nu
 
 
-def solve_dual_full(lp: AssembledLP, tol: Tolerances = DEFAULT_TOLS) -> DualCertificate:
+def solve_dual_full(lp: AssembledLP) -> DualCertificate:
     """Solve the dual with explicit upper-limit multipliers.
 
     Coordinates with infinite upper limit have their multiplier fixed to zero
@@ -154,21 +145,19 @@ def solve_dual_full(lp: AssembledLP, tol: Tolerances = DEFAULT_TOLS) -> DualCert
     by simply not giving them a multiplier column.
     """
     dual_lp, meta = _transcribe_dual(lp, epigraph=False)
-    sol = solve_primal(dual_lp, tol)
+    sol = solve_primal(dual_lp)
     lam, nu = _extract_lam_nu(lp, sol.x, meta)
     return DualCertificate(lam=lam, nu=nu, h=relaxation_values(lp, nu))
 
 
-def solve_dual_relaxation(
-    lp: AssembledLP, tol: Tolerances = DEFAULT_TOLS
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_dual_relaxation(lp: AssembledLP) -> tuple[np.ndarray, np.ndarray]:
     """Solve the relaxation-form dual where each agent's inner maximization is
     resolved to its componentwise positive part and bounded by a scalar h.
 
     Returns (lam, h).
     """
     dual_lp, meta = _transcribe_dual(lp, epigraph=True)
-    sol = solve_primal(dual_lp, tol)
+    sol = solve_primal(dual_lp)
     lam, _ = _extract_lam_nu(lp, sol.x, meta)
     h = sol.x[meta["h_off"] : meta["h_off"] + lp.m].copy()
     return lam, h
@@ -205,7 +194,6 @@ def verify_complementary_slackness(
     lp: AssembledLP,
     solution: PrimalSolution,
     cert: DualCertificate,
-    tol: Tolerances = DEFAULT_TOLS,
 ) -> SlacknessReport:
     """Check the slackness products (with inf * 0 = 0) plus both directions of
     the activity/multiplier equivalences. Pure report, never raises."""
@@ -216,12 +204,12 @@ def verify_complementary_slackness(
 
     gap = np.where(finite, x - np.where(finite, d, 0.0), 0.0)
     upper_products = np.abs(gap * nu)
-    upper_products = np.where(~finite & (nu > tol.act), np.inf, upper_products)
+    upper_products = np.where(~finite & (nu > ACT_TOL), np.inf, upper_products)
 
     grad = -lp.c - lam @ lp.A
     stationarity_products = np.abs((grad - nu) * x)
 
-    scale = tol.act * (1.0 + np.max(np.abs(x), initial=0.0)) * (
+    scale = ACT_TOL * (1.0 + np.max(np.abs(x), initial=0.0)) * (
         1.0 + np.max(np.abs(lam), initial=0.0) + np.max(np.abs(nu), initial=0.0)
     )
     products_ok = bool(
@@ -229,10 +217,10 @@ def verify_complementary_slackness(
         and np.max(stationarity_products, initial=0.0) <= scale
     )
 
-    interior = (x > tol.act) & (~finite | (x < d - tol.act))
-    zero_grad = np.abs(grad) <= tol.act
-    at_upper = finite & (x >= d - tol.act)
-    nu_pos = nu > tol.act
+    interior = (x > ACT_TOL) & (~finite | (x < d - ACT_TOL))
+    zero_grad = np.abs(grad) <= ACT_TOL
+    at_upper = finite & (x >= d - ACT_TOL)
+    nu_pos = nu > ACT_TOL
 
     mismatches = []
     for j in np.flatnonzero(interior != zero_grad):

@@ -49,8 +49,6 @@ __all__ = [
     "BasisPartition",
     "PrimalSolution",
     "SharingProblem",
-    "Tolerances",
-    "DEFAULT_TOLS",
     "assemble",
     "audit_assumptions",
     "check_basic_solution",
@@ -60,21 +58,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used consistently across the package.
-
-    ``feas`` is absolute on row-scaled data; ``act`` classifies variables as
-    sitting at a bound; ``rc`` is one order below ``act`` so sign tests on
-    reduced costs cannot flip an activity classification.
-    """
-
-    feas: float = 1e-8
-    act: float = 1e-7
-    rc: float = 1e-9
-
-
-DEFAULT_TOLS = Tolerances()
+# Numerical thresholds used across the package. FEAS_TOL is absolute on
+# row-scaled data; ACT_TOL classifies a variable as sitting at a bound; RC_TOL
+# is one order below ACT_TOL so that a sign test on a reduced cost cannot flip
+# an activity classification.
+FEAS_TOL = 1e-8
+ACT_TOL = 1e-7
+RC_TOL = 1e-9
 
 
 def _as_float_vector(v, name: str) -> np.ndarray:
@@ -284,7 +274,7 @@ def assemble(problem: SharingProblem) -> AssembledLP:
         spans.append((offset, offset + ag.n))
         offset += ag.n
     return AssembledLP(
-        A=np.hstack(blocks_A) if blocks_A else np.zeros((p, 0)),
+        A=np.hstack(blocks_A),
         b=problem.b.copy(),
         c=np.concatenate(blocks_c),
         d=np.concatenate(blocks_d),
@@ -316,8 +306,8 @@ def _nonbasic_values(vstat: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _invert_basis(B: np.ndarray) -> np.ndarray:
-    """Inverse of the (small) basis matrix; hand-coded for p <= 3 because the
-    pivot loop is dominated by call overhead at cargo scale."""
+    """Inverse of the (small) basis matrix; hand-coded for p = 1 and p = 2
+    because the pivot loop is dominated by call overhead at cargo scale."""
     p = B.shape[0]
     if p == 1:
         det = B[0, 0]
@@ -336,7 +326,7 @@ def _invert_basis(B: np.ndarray) -> np.ndarray:
         raise SingularBasis("basis matrix is singular") from exc
 
 
-def _bounded_simplex(A, b, c, d, basis, vstat, tol: Tolerances, max_iter: int, Binv=None):
+def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, Binv=None):
     """Pivot until optimal, keeping the basis inverse across pivots.
 
     The basis is inverted once on entry unless the caller passes its inverse
@@ -366,11 +356,11 @@ def _bounded_simplex(A, b, c, d, basis, vstat, tol: Tolerances, max_iter: int, B
 
             viol = r * _PRICE_SIGN[vstat]
             if bland:
-                candidates = np.flatnonzero(viol > tol.rc)
+                candidates = np.flatnonzero(viol > RC_TOL)
                 j = int(candidates[0]) if candidates.size else -1
             else:
                 best = viol.max()
-                j = int(np.argmax(viol >= best * (1.0 - _TIE))) if best > tol.rc else -1
+                j = int(np.argmax(viol >= best * (1.0 - _TIE))) if best > RC_TOL else -1
             if j < 0:
                 if changes == 0:
                     break
@@ -443,7 +433,7 @@ def _bounded_simplex(A, b, c, d, basis, vstat, tol: Tolerances, max_iter: int, B
     return x, y, r
 
 
-def _crash_basis(A, b, d, tol: Tolerances):
+def _crash_basis(A, b, d):
     """Seed the basis with structural singleton columns (slack-like) whose
     implied value is within bounds; remaining rows get artificial variables."""
     p, ell = A.shape
@@ -454,19 +444,19 @@ def _crash_basis(A, b, d, tol: Tolerances):
         if nnz_per_col[j] != 1:
             continue
         i = int(np.argmax(np.abs(A[:, j])))
-        if basis[i] >= 0 or A[i, j] == 0.0:
+        if basis[i] >= 0:
             continue
         v = b[i] / A[i, j]
-        if -tol.feas <= v <= d[j] + tol.feas:
+        if -FEAS_TOL <= v <= d[j] + FEAS_TOL:
             basis[i] = j
             vstat[j] = _BASIC
     return basis, vstat
 
 
-def _phase1(A, b, d, tol: Tolerances, max_iter: int):
+def _phase1(A, b, d, max_iter: int):
     """Find a basic feasible starting point; raise InfeasibleProblem if none."""
     p, ell = A.shape
-    basis, vstat = _crash_basis(A, b, d, tol)
+    basis, vstat = _crash_basis(A, b, d)
     free_rows = np.flatnonzero(basis < 0)
     if free_rows.size == 0:
         return basis, vstat
@@ -484,9 +474,9 @@ def _phase1(A, b, d, tol: Tolerances, max_iter: int):
     basis1[free_rows] = ell + np.arange(n_art)
     vstat1 = np.concatenate([vstat, np.full(n_art, _BASIC, dtype=int)])
 
-    x1, _, _ = _bounded_simplex(A1, b, c1, d1, basis1, vstat1, tol, max_iter)
+    x1, _, _ = _bounded_simplex(A1, b, c1, d1, basis1, vstat1, max_iter)
     art_sum = float(x1[ell:].sum())
-    if art_sum > tol.feas:
+    if art_sum > FEAS_TOL:
         raise InfeasibleProblem(
             f"phase-1 optimum {art_sum:.3e} exceeds the feasibility tolerance"
         )
@@ -515,7 +505,7 @@ def _phase1(A, b, d, tol: Tolerances, max_iter: int):
     return basis, vstat
 
 
-def _start_basis(A, b, d, start: BasisPartition, tol: Tolerances):
+def _start_basis(A, b, d, start: BasisPartition):
     """Basis, statuses and basis inverse of a caller's partition; raise
     InfeasibleStart unless its basic values lie within their bounds."""
     p, ell = A.shape
@@ -532,7 +522,7 @@ def _start_basis(A, b, d, start: BasisPartition, tol: Tolerances):
     Binv = _invert_basis(A[:, basis])
     with np.errstate(invalid="ignore"):
         xB = Binv @ (b - A @ _nonbasic_values(vstat, d))
-        inside = np.all(xB >= -tol.feas) and np.all(xB <= d[basis] + tol.feas)
+        inside = np.all(xB >= -FEAS_TOL) and np.all(xB <= d[basis] + FEAS_TOL)
     if not inside:
         raise InfeasibleStart(
             f"start basis puts a basic variable outside its bounds: x_B = {xB}"
@@ -547,11 +537,7 @@ def _row_scale(lp: AssembledLP) -> np.ndarray:
     return np.where(scale > 0.0, scale, 1.0)
 
 
-def solve_primal(
-    lp: AssembledLP,
-    tol: Tolerances = DEFAULT_TOLS,
-    start: BasisPartition | None = None,
-) -> PrimalSolution:
+def solve_primal(lp: AssembledLP, start: BasisPartition | None = None) -> PrimalSolution:
     """Solve the assembled LP to an optimal basic feasible solution.
 
     ``start`` replaces phase 1 by a known feasible partition of the columns;
@@ -572,26 +558,26 @@ def solve_primal(
 
     max_iter = 2000 + 60 * (ell + p)
     if start is None:
-        basis, vstat = _phase1(As, bs, lp.d, tol, max_iter)
+        basis, vstat = _phase1(As, bs, lp.d, max_iter)
         Binv = None
     else:
-        basis, vstat, Binv = _start_basis(As, bs, lp.d, start, tol)
-    x, _, r = _bounded_simplex(As, bs, lp.c, lp.d, basis, vstat, tol, max_iter, Binv)
+        basis, vstat, Binv = _start_basis(As, bs, lp.d, start)
+    x, _, r = _bounded_simplex(As, bs, lp.c, lp.d, basis, vstat, max_iter, Binv)
 
     residual = float(np.max(np.abs(As @ x - bs), initial=0.0))
-    if residual > 10.0 * tol.feas:
+    if residual > 10.0 * FEAS_TOL:
         raise FeasibilityCheckFailed(
             f"solution failed the feasibility check: scaled residual {residual:.3e}"
         )
 
     xb = x[basis]
     db = lp.d[basis]
-    at_low = xb <= tol.act
-    at_up = np.isfinite(db) & (xb >= db - tol.act)
+    at_low = xb <= ACT_TOL
+    at_up = np.isfinite(db) & (xb >= db - ACT_TOL)
     degenerate = bool(np.any(at_low | at_up))
 
     nonbasic = vstat != _BASIC
-    nonunique = bool(np.any(np.abs(r[nonbasic]) <= tol.rc))
+    nonunique = bool(np.any(np.abs(r[nonbasic]) <= RC_TOL))
 
     partition = BasisPartition(
         basic=tuple(basis.tolist()),
@@ -624,10 +610,7 @@ class BasicSolutionCheck:
 
 
 def check_basic_solution(
-    lp: AssembledLP,
-    x: np.ndarray,
-    partition: BasisPartition,
-    tol: Tolerances = DEFAULT_TOLS,
+    lp: AssembledLP, x: np.ndarray, partition: BasisPartition
 ) -> BasicSolutionCheck:
     """Test the four extended-basic-solution conditions: budget equations hold,
     the basic set has size p, its columns are independent, and every non-basic
@@ -637,7 +620,7 @@ def check_basic_solution(
 
     scale = _row_scale(lp)
     resid = float(np.max(np.abs((lp.A @ x - lp.b) / scale), initial=0.0))
-    if resid > 10.0 * tol.feas:
+    if resid > 10.0 * FEAS_TOL:
         failures.append(f"budget residual {resid:.3e}")
 
     basic, low, up = partition.as_sets()
@@ -655,8 +638,8 @@ def check_basic_solution(
 
     for j in sorted(low | up):
         dj = lp.d[j]
-        at_zero = abs(x[j]) <= tol.act
-        at_limit = np.isfinite(dj) and abs(x[j] - dj) <= tol.act
+        at_zero = abs(x[j]) <= ACT_TOL
+        at_limit = np.isfinite(dj) and abs(x[j] - dj) <= ACT_TOL
         if not (at_zero or at_limit):
             failures.append(f"nonbasic index {j} strictly interior (x={x[j]:.6g})")
             break
@@ -680,7 +663,7 @@ def reduced_costs(lp: AssembledLP, partition: BasisPartition):
     """Reduced-cost vectors over the at-lower and at-upper index sets.
 
     At an optimal basic feasible solution the first is >= 0 and the second
-    <= 0 (up to ``Tolerances.rc``).
+    <= 0 (up to ``RC_TOL``).
     """
     r = lp.c + dual_closed_form(lp, partition) @ lp.A
     return r[list(partition.at_lower)], r[list(partition.at_upper)]
@@ -712,16 +695,14 @@ class AuditReport:
         )
 
 
-def audit_assumptions(
-    lp: AssembledLP, solution: PrimalSolution, tol: Tolerances = DEFAULT_TOLS
-) -> AuditReport:
+def audit_assumptions(lp: AssembledLP, solution: PrimalSolution) -> AuditReport:
     """Report which regularity conditions hold at the solved instance."""
     rank_A = int(np.linalg.matrix_rank(lp.A))
     x = solution.x
     finite = np.isfinite(lp.d)
     n_active = lp.p
-    n_active += int(np.count_nonzero(np.abs(x) <= tol.act))
-    n_active += int(np.count_nonzero(finite & (np.abs(x - lp.d) <= tol.act)))
+    n_active += int(np.count_nonzero(np.abs(x) <= ACT_TOL))
+    n_active += int(np.count_nonzero(finite & (np.abs(x - lp.d) <= ACT_TOL)))
     finite_d_ok = bool(np.all(lp.d[finite] > 0.0))
     return AuditReport(
         rank_A=rank_A,

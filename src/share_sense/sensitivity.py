@@ -28,7 +28,7 @@ import numpy as np
 
 from .duality import DualCertificate
 from .errors import BracketFailure, TableCheckFailed
-from .lp_core import DEFAULT_TOLS, AssembledLP, PrimalSolution, Tolerances, _any_per_segment
+from .lp_core import ACT_TOL, AssembledLP, PrimalSolution, _any_per_segment
 
 __all__ = [
     "EpsilonTable",
@@ -46,6 +46,7 @@ _U_FLOOR = -60.0 * math.log(2.0)
 _U_CAP = 40.0 * math.log(2.0)
 _T_TOL = 1e-12  # absolute bisection width in t
 _RESIDUAL_TOL = 1e-10  # on the largest-term-normalized value
+_GOLDEN_ITERS = 48  # shrinks the golden-section u-bracket by 0.618^48, about 1e-10
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def poly_value(m: int, k: int, beta: float, t: float) -> SignedLogValue:
     return SignedLogValue(sign=sign, log_abs=log_abs, normalized=v, log_scale=scale)
 
 
-def _golden_max(fam: _PolyFamily, rows: np.ndarray, iters: int = 48):
+def _golden_max(fam: _PolyFamily, rows: np.ndarray):
     """Vectorized golden-section maximization of the concave log-ratio over
     u = log t. Returns (u_star, g_star) per row."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -169,7 +170,7 @@ def _golden_max(fam: _PolyFamily, rows: np.ndarray, iters: int = 48):
     d = a + inv_phi * (b - a)
     _, gc, _ = fam.eval_rows(rows, np.exp(c))
     _, gd, _ = fam.eval_rows(rows, np.exp(d))
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         keep_left = gc >= gd
         surviving = np.where(keep_left, gc, gd)
         a = np.where(keep_left, a, c)
@@ -238,10 +239,10 @@ def _expand_brackets(fam, rows, u_star, direction: int):
     return inner, outer
 
 
-def _bisect(fam, rows, t_neg, t_pos, t_tol=_T_TOL, residual_tol=_RESIDUAL_TOL):
+def _bisect(fam, rows, t_neg, t_pos):
     """Bisection on sign between a negative-value and a positive-value point.
 
-    Width is driven below ``t_tol`` first, and then further until the
+    Width is driven below ``_T_TOL`` first, and then further until the
     normalized residual at the midpoint drops below half the residual budget
     (or the bracket reaches float resolution).
     """
@@ -265,8 +266,8 @@ def _bisect(fam, rows, t_neg, t_pos, t_tol=_T_TOL, residual_tol=_RESIDUAL_TOL):
 
         width = np.abs(pos_end[idx] - neg_end[idx])
         floor = 4.0 * np.finfo(float).eps * np.maximum(np.abs(pos_end[idx]), 1e-300)
-        converged = (width <= t_tol) & (
-            (resid[idx] <= 0.5 * residual_tol) | (width <= floor)
+        converged = (width <= _T_TOL) & (
+            (resid[idx] <= 0.5 * _RESIDUAL_TOL) | (width <= floor)
         )
         active[idx[converged]] = False
     return root, resid
@@ -413,34 +414,32 @@ def epsilon_table(m: int, beta: float) -> EpsilonTable:
     )
 
 
-def count_active_primal(solution: PrimalSolution, tol: Tolerances = DEFAULT_TOLS) -> int:
+def count_active_primal(solution: PrimalSolution) -> int:
     """Number of agents with at least one decision component away from zero.
     The slack block lies before the first agent span and is left out."""
     starts = [start for start, _ in solution.agent_spans]
-    return int(np.count_nonzero(_any_per_segment(np.abs(solution.x) > tol.act, starts)))
+    return int(np.count_nonzero(_any_per_segment(np.abs(solution.x) > ACT_TOL, starts)))
 
 
-def count_active_dual(
-    lp: AssembledLP, cert: DualCertificate, tol: Tolerances = DEFAULT_TOLS
-) -> int:
+def count_active_dual(lp: AssembledLP, cert: DualCertificate) -> int:
     """Active-agent count read off the dual certificate: agents with a
     positive relaxation value plus agents whose constraint is tight at the
     multiplier (some coordinate gradient vanishing). The two sets are disjoint
     because the boundary test requires the relaxation value to be zero."""
     grad = -lp.c - cert.lam @ lp.A
     starts = [start for start, _ in lp.agent_spans]
-    tight = _any_per_segment(np.abs(grad) <= tol.act, starts)
-    return int(np.count_nonzero((cert.h > tol.act) | tight))
+    tight = _any_per_segment(np.abs(grad) <= ACT_TOL, starts)
+    return int(np.count_nonzero((cert.h > ACT_TOL) | tight))
 
 
 def sensitivity_interval(
-    solution: PrimalSolution, table: EpsilonTable, tol: Tolerances = DEFAULT_TOLS
+    solution: PrimalSolution, table: EpsilonTable
 ) -> tuple[float, float, int]:
     """Interval for the probability that a random new agent changes the
     optimum: the table row selected by the observed active-agent count."""
     m = len(solution.agent_spans)
     if m != table.m:
         raise ValueError(f"table was built for m={table.m}, solution has m={m} agents")
-    s_star = count_active_primal(solution, tol)
+    s_star = count_active_primal(solution)
     lo, hi = table.interval(s_star)
     return lo, hi, s_star

@@ -21,7 +21,7 @@ from share_sense import (
     solve_primal,
 )
 from share_sense import arrivals
-from share_sense.lp_core import DEFAULT_TOLS
+from share_sense.lp_core import RC_TOL
 from share_sense.rng import stream
 from test_lp_core import toy_problem
 
@@ -174,10 +174,10 @@ class TestWarmResolve:
         # only the untied verdicts (the ones the audit re-solves) must match
         if not verdict.tie:
             says = arrivals._resolve_says_changed
-            assert says(sol, warm, DEFAULT_TOLS) == says(sol, cold, DEFAULT_TOLS)
+            assert says(sol, warm) == says(sol, cold)
             # on a degenerate base a negative reduced cost can buy a zero step
             if sol.clean:
-                assert says(sol, warm, DEFAULT_TOLS) == verdict.changes
+                assert says(sol, warm) == verdict.changes
 
     def test_generators_reach_flagged_bases_and_ties(self):
         rng = np.random.default_rng(3)
@@ -209,7 +209,7 @@ class TestWarmResolve:
 )
 def test_multiplier_form_is_the_negated_reduced_cost(data, p, draws):
     """The multiplier form max(0, -c - lam^T A) is max(0, -rc) to the last
-    bit, so it cannot classify an arrival differently from rc < -tol.rc.
+    bit, so it cannot classify an arrival differently from rc < -RC_TOL.
     That is why the arrival screen evaluates the reduced cost alone."""
     finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     lam = data.draw(hnp.arrays(float, p, elements=finite))
@@ -218,8 +218,8 @@ def test_multiplier_form_is_the_negated_reduced_cost(data, p, draws):
     rc = cs + lam @ As
     gain = np.maximum(0.0, -cs - lam @ As)
     assert np.array_equal(gain, np.maximum(0.0, -rc))
-    gain[gain <= DEFAULT_TOLS.rc] = 0.0
-    assert np.array_equal(gain > 0.0, rc < -DEFAULT_TOLS.rc)
+    gain[gain <= RC_TOL] = 0.0
+    assert np.array_equal(gain > 0.0, rc < -RC_TOL)
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,7 +243,6 @@ def test_stacked_screen_matches_one_at_a_time(seed, shape, kinds):
         np.concatenate([nc.c for nc in newcomers]),
         np.hstack([nc.A for nc in newcomers]),
         starts,
-        DEFAULT_TOLS,
     )
     assert rc.tobytes() == np.concatenate([v.reduced_costs for v in alone]).tobytes()
     assert changed.tolist() == [v.changes for v in alone]
@@ -310,6 +309,28 @@ class TestEmpiricalViolationProbability:
         assert est.fraction == pytest.approx(0.37)
         assert float(est) == est.fraction
 
+    @pytest.mark.parametrize("audit_fraction", [-0.1, 1.5, 3.0])
+    def test_audit_fraction_outside_unit_interval_rejected(self, toy, audit_fraction):
+        # no share of the draws: the audit step round(1 / audit_fraction) would
+        # audit every draw at 1.5 and none at 3.0 or -0.1
+        lp, sol = toy
+        with pytest.raises(ValueError, match="audit_fraction"):
+            empirical_violation_probability(
+                lp, sol, lambda rng: profitable_newcomer(), 100, np.random.default_rng(0),
+                audit_fraction=audit_fraction,
+            )
+
+    def test_full_audit_resolves_every_untied_draw(self, toy):
+        lp, sol = toy
+        clone = AgentProfile(n=1, c=[-1.0], d=[2.0], A=[[1.0]])  # a tie
+        kinds = [profitable_newcomer(), unprofitable_newcomer(), clone]
+        queue = iter(kinds[i % 3] for i in range(100))
+        est = empirical_violation_probability(
+            lp, sol, lambda rng: next(queue), 100, np.random.default_rng(0),
+            audit_fraction=1.0,
+        )
+        assert (est.ties, est.audited, est.audit_mismatches) == (33, 67, 0)
+
     def test_batch_path_matches_loop_path_on_same_draws(self):
         config = CargoConfig(
             m=4, W=6.0, V=0.004, demand=UniformDemand(1.0, 3.0), p_min=1.0, p_max=4.0,
@@ -340,9 +361,9 @@ class TestEmpiricalViolationProbability:
         starts = []
         real = arrivals.solve_primal
 
-        def spy(lp_, tol, start=None):
+        def spy(lp_, start=None):
             starts.append(start)
-            return real(lp_, tol, start=start)
+            return real(lp_, start=start)
 
         monkeypatch.setattr(arrivals, "solve_primal", spy)
         empirical_violation_probability(

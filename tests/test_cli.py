@@ -82,6 +82,13 @@ class TestSerialize:
                 }
             )
 
+    @pytest.mark.parametrize("mu", [-60.0, 0.0])
+    def test_config_rejects_nonpositive_gaussian_mean(self, mu):
+        # far below 0 the truncating rejection loop would never finish
+        demand = {"kind": "truncated_gaussian", "mu": mu, "sigma2": 1.0}
+        with pytest.raises(ValueError, match="mu > 0"):
+            load_cargo_config({"m": 4, "W": 1.0, "V": 1.0, "demand": demand})
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_random_instance_roundtrip(self, seed):

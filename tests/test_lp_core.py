@@ -232,8 +232,8 @@ def solve_three_ways(lp, refactor_every):
     as the bytes of x, the objective, the partition and the flags."""
     solved = []
 
-    def recording(dual_lp, tol):
-        solved.append(lp_core.solve_primal(dual_lp, tol))
+    def recording(dual_lp):
+        solved.append(lp_core.solve_primal(dual_lp))
         return solved[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -320,9 +320,7 @@ class TestTypedFailures:
         basis = np.array([0])
         vstat = np.array([lp_core._BASIC, lp_core._AT_LOWER, lp_core._AT_LOWER])
         with pytest.raises(PivotLimit):
-            lp_core._bounded_simplex(
-                lp.A, lp.b, lp.c, lp.d, basis, vstat, lp_core.DEFAULT_TOLS, 1
-            )
+            lp_core._bounded_simplex(lp.A, lp.b, lp.c, lp.d, basis, vstat, 1)
 
     def test_feasibility_check(self, monkeypatch):
         real = lp_core._bounded_simplex
