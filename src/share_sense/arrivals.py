@@ -16,6 +16,7 @@ the acceptance and unit tests compare the certificate against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,6 +183,23 @@ class ViolationEstimate:
         return self.fraction
 
 
+def _audit_draws(draws: int, fraction: float) -> np.ndarray:
+    """The draws i at which floor(i * fraction) steps up, draw 0 first:
+    floor((draws - 1) * fraction) + 1 of them, evenly spread.
+
+    The step to j lies within one draw of j / fraction, so only those draws
+    are tested, each once; the work and memory scale with the audit, not
+    with the draws.
+    """
+    if fraction == 0.0:
+        return np.empty(0, dtype=int)
+    steps = np.arange(math.floor(draws * fraction) + 1)
+    near = np.sort((np.ceil(steps / fraction)[:, None] + (-1.0, 0.0, 1.0)).ravel())
+    near = near[(near >= 0.0) & (near < draws) & (np.diff(near, prepend=-1.0) > 0.0)]
+    up = np.floor(near * fraction) != np.floor((near - 1.0) * fraction)
+    return near[up].astype(int)
+
+
 def empirical_violation_probability(
     lp: AssembledLP,
     solution: PrimalSolution,
@@ -197,7 +215,8 @@ def empirical_violation_probability(
     ``sample_batch(draws, rng) -> (c, d, A)`` (stacked arrays for scalar
     agents) is asked for the whole batch at once. Either way the newcomers
     are classified together by the certificate; re-solves run only on the
-    audit subsample: every ``round(1 / audit_fraction)``-th draw, ties skipped.
+    audit subsample: draw i wherever floor(i * audit_fraction) steps up,
+    ties skipped.
     """
     if draws < 1:
         raise ValueError("need at least one draw")
@@ -226,13 +245,11 @@ def empirical_violation_probability(
     _, changed, ties = _classify(lam, cs, As, starts)
 
     audited = mismatches = 0
-    audit_step = int(round(1.0 / audit_fraction)) if audit_fraction > 0.0 else 0
-    if audit_step:
-        for i in range(0, draws, audit_step):
-            if ties[i]:
-                continue
-            audited += 1
-            mismatches += _audit_disagrees(lp, solution, newcomer(i), bool(changed[i]))
+    for i in _audit_draws(draws, audit_fraction):
+        if ties[i]:
+            continue
+        audited += 1
+        mismatches += _audit_disagrees(lp, solution, newcomer(i), bool(changed[i]))
     n_changes = int(changed.sum())
     return ViolationEstimate(
         fraction=n_changes / draws,

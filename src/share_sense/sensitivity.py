@@ -17,6 +17,9 @@ outward for sign changes, and bisect in t. Binomial log-coefficients are built
 by a cumulative recurrence in extended precision so that errors shared by the
 positive term and the dominant negative terms cancel in the ratio; this keeps
 the normalized residual at the reported roots below 1e-10 even at m = 1000.
+Coefficient rows are built, and evaluated in place, in blocks of about 256 KB
+that stay in cache; every operation runs along a whole row as an unblocked
+evaluation would, so the blocking changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ _U_CAP = 40.0 * math.log(2.0)
 _T_TOL = 1e-12  # absolute bisection width in t
 _RESIDUAL_TOL = 1e-10  # on the largest-term-normalized value
 _GOLDEN_ITERS = 48  # shrinks the golden-section u-bracket by 0.618^48, about 1e-10
+_BLOCK_BYTES = 1 << 18  # 256 KB row blocks of _PolyFamily work stay in L2
 
 
 @dataclass(frozen=True)
@@ -90,23 +94,24 @@ class _PolyFamily:
         n_i = 4 * m + 1
         I = np.arange(n_i, dtype=float)
         K = self.ks[:, None].astype(float)
-        diff = I[None, :] - K  # exponent of t for column i, row k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(diff >= 1.0, K / np.maximum(diff, 1.0), 0.0)
-        inc = np.log1p(ratio)
-        # cumulative recurrence log C(i,k) = sum_{j<=i} log(j/(j-k)); extended
-        # precision keeps the partial-sum rounding below the residual budget
-        lnC = np.cumsum(inc.astype(np.longdouble), axis=1).astype(float)
-
+        self.expo = I[None, :] - K  # exponent of t for column i, row k
+        self.logcoef = np.empty_like(self.expo)
         pref = np.where(
-            I[None, :] < m,
+            I < m,
             math.log(beta / (2.0 * m)),
-            np.where(I[None, :] == m, 0.0, math.log(beta / (6.0 * m))),
+            np.where(I == m, 0.0, math.log(beta / (6.0 * m))),
         )
-        logcoef = lnC + pref
-        logcoef[diff < 0.0] = -np.inf
-        self.logcoef = logcoef
-        self.expo = diff
+        self._block_rows = max(1, _BLOCK_BYTES // self.expo.strides[0])
+        for lo in range(0, self.ks.size, self._block_rows):
+            block = slice(lo, lo + self._block_rows)
+            diff, out = self.expo[block], self.logcoef[block]
+            inc = np.log1p(np.where(diff >= 1.0, K[block] / np.maximum(diff, 1.0), 0.0))
+            # cumulative recurrence log C(i,k) = sum_{j<=i} log(j/(j-k)) along
+            # each row; extended precision keeps the partial-sum rounding below
+            # the residual budget
+            lnC = np.cumsum(inc, axis=1, dtype=np.longdouble).astype(float)
+            np.add(lnC, pref, out=out)
+            out[diff < 0.0] = -np.inf
 
     def eval_rows(self, rows: np.ndarray, t: np.ndarray):
         """Normalized value and positive/negative log-ratio at t[r] per row.
@@ -114,13 +119,32 @@ class _PolyFamily:
         t entries must be strictly positive. The ratio is formed fully in log
         space so it stays finite (and concave in log t) even where one side
         would underflow; this is what makes the bracketing search reliable.
+        Rows go through one preallocated block buffer, so no temporary of the
+        full (rows x columns) size is made.
         """
         lt = np.log(t)
-        LT = self.logcoef[rows] + self.expo[rows] * lt[:, None]
-        pos_log = LT[:, self.m].copy()
-        LT[:, self.m] = -np.inf
-        negmax = LT.max(axis=1)
-        negsum = np.exp(LT - negmax[:, None]).sum(axis=1)
+        n = rows.size
+        every = n == self.ks.size  # rows are sorted and distinct
+        pos_log = np.empty(n)
+        negmax = np.empty(n)
+        negsum = np.empty(n)
+        buf = np.empty((min(n, self._block_rows), self.expo.shape[1]))
+        for lo in range(0, n, self._block_rows):
+            hi = min(lo + self._block_rows, n)
+            LT = buf[: hi - lo]
+            if every:
+                np.multiply(self.expo[lo:hi], lt[lo:hi, None], out=LT)
+                LT += self.logcoef[lo:hi]
+            else:
+                np.take(self.expo, rows[lo:hi], axis=0, out=LT)
+                LT *= lt[lo:hi, None]
+                LT += self.logcoef[rows[lo:hi]]
+            pos_log[lo:hi] = LT[:, self.m]
+            LT[:, self.m] = -np.inf
+            LT.max(axis=1, out=negmax[lo:hi])
+            LT -= negmax[lo:hi, None]
+            np.exp(LT, out=LT)
+            LT.sum(axis=1, out=negsum[lo:hi])
         logneg = negmax + np.log(negsum)
         g = pos_log - logneg
         rowmax = np.maximum(pos_log, negmax)

@@ -116,34 +116,38 @@ def solution_to_dict(
     return out
 
 
+def _section(name: str, cls, fields: dict):
+    """``cls(**fields)``, with a ValueError naming the section and field for
+    an unknown or missing field."""
+    declared = dataclasses.fields(cls)
+    unknown = set(fields) - {f.name for f in declared}
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    required = (f.name for f in declared if f.default is dataclasses.MISSING)
+    missing = [field for field in required if field not in fields]
+    if missing:
+        raise ValueError(f"{name} is missing {missing}")
+    return cls(**fields)
+
+
 def load_cargo_config(source) -> CargoConfig:
-    """Read a campaign config from a path, file object, or parsed dict."""
+    """Read a campaign config from a path, file object, or parsed dict.
+
+    A missing or unknown field, at the top level or in ``demand``, raises
+    ValueError naming the section and the field."""
     data = _read_json(source)
-    dist = data.pop("demand")
-    kind = dist.get("kind", "uniform")
+    if not isinstance(data.get("demand"), dict):
+        raise ValueError("config is missing the 'demand' object")
+    dist = dict(data["demand"])
+    kind = dist.pop("kind", "uniform")
     if kind == "uniform":
-        demand = UniformDemand(d_min=dist["d_min"], d_max=dist["d_max"])
+        demand_cls = UniformDemand
     elif kind in ("truncated_gaussian", "gaussian"):
-        demand = TruncatedGaussianDemand(mu=dist["mu"], sigma2=dist["sigma2"])
+        demand_cls = TruncatedGaussianDemand
     else:
         raise ValueError(f"unknown demand kind {kind!r}")
-    known = {
-        "m",
-        "W",
-        "V",
-        "trials",
-        "arrivals",
-        "beta",
-        "p_min",
-        "p_max",
-        "rho_min",
-        "rho_max",
-        "seed",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return CargoConfig(demand=demand, **data)
+    data["demand"] = _section("demand", demand_cls, dist)
+    return _section("config", CargoConfig, data)
 
 
 def write_epsilon_csv(table: EpsilonTable, target) -> None:

@@ -331,6 +331,41 @@ class TestEmpiricalViolationProbability:
         )
         assert (est.ties, est.audited, est.audit_mismatches) == (33, 67, 0)
 
+    @pytest.mark.parametrize(
+        "audit_fraction, every",
+        [(0.3, None), (0.4, None), (0.6, None), (0.07, None),
+         (0.01, 100), (0.05, 20), (0.5, 2), (1.0, 1)],
+    )
+    def test_audit_subsample_takes_the_asked_share(self, toy, monkeypatch, audit_fraction, every):
+        # every draw changes the optimum, so no audited draw is skipped as a tie
+        lp, sol = toy
+        draws = 300
+        profiles = [profitable_newcomer() for _ in range(draws)]
+        queue = iter(profiles)
+        picked = []
+
+        def record(lp_, sol_, newcomer, changes):
+            picked.append(next(i for i, p in enumerate(profiles) if p is newcomer))
+            return False
+
+        monkeypatch.setattr(arrivals, "_audit_disagrees", record)
+        est = empirical_violation_probability(
+            lp, sol, lambda rng: next(queue), draws, np.random.default_rng(0),
+            audit_fraction=audit_fraction,
+        )
+        assert est.audited == len(picked)
+        assert abs(len(picked) - draws * audit_fraction) <= 1.0
+        if every:  # a share of 1/n audits every n-th draw, as the campaign's 0.01 does
+            assert picked == list(range(0, draws, every))
+
+    @pytest.mark.parametrize("audit_fraction", [0.0, 1 / 49, 1 / 3, 0.07, 0.3, 1e-3, 0.999, 1.0])
+    @pytest.mark.parametrize("draws", [1, 7, 5000])
+    def test_audit_draws_are_where_the_floor_steps_up(self, audit_fraction, draws):
+        # the full-length reference: one floor per draw
+        level = np.floor(np.arange(-1, draws) * audit_fraction)
+        want = np.flatnonzero(np.diff(level))
+        assert arrivals._audit_draws(draws, audit_fraction).tolist() == want.tolist()
+
     def test_batch_path_matches_loop_path_on_same_draws(self):
         config = CargoConfig(
             m=4, W=6.0, V=0.004, demand=UniformDemand(1.0, 3.0), p_min=1.0, p_max=4.0,

@@ -82,6 +82,24 @@ class TestSerialize:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "drop, demand, match",
+        [
+            ("demand", None, "missing the 'demand'"),
+            (None, {"kind": "gaussian", "mu": 250.0}, r"demand is missing \['sigma2'\]"),
+            (None, {"kind": "uniform", "d_min": 1.0}, r"demand is missing \['d_max'\]"),
+            (None, {"d_min": 1.0, "d_max": 2.0, "d_mean": 1.5}, r"unknown demand keys: \['d_mean'\]"),
+            ("m", {"kind": "uniform", "d_min": 1.0, "d_max": 2.0}, r"config is missing \['m'\]"),
+            ("W", {"kind": "uniform", "d_min": 1.0, "d_max": 2.0}, r"config is missing \['W'\]"),
+            ("V", {"kind": "uniform", "d_min": 1.0, "d_max": 2.0}, r"config is missing \['V'\]"),
+        ],
+    )
+    def test_config_names_a_missing_or_unknown_field(self, drop, demand, match):
+        data = {"m": 4, "W": 1.0, "V": 1.0, "demand": demand}
+        data.pop(drop, None)
+        with pytest.raises(ValueError, match=match):
+            load_cargo_config(data)
+
     @pytest.mark.parametrize("mu", [-60.0, 0.0])
     def test_config_rejects_nonpositive_gaussian_mean(self, mu):
         # far below 0 the truncating rejection loop would never finish

@@ -23,6 +23,7 @@ from share_sense import (
     solve_roots,
 )
 from share_sense.sensitivity import _PolyFamily
+from test_acceptance import GRID_BETA, GRID_M
 from test_lp_core import toy_problem
 
 # frozen by an independent 50-digit root solve of t - 0.05 - (t^2+t^3+t^4)/60
@@ -183,6 +184,96 @@ class TestEpsilonTable:
             arrays["eps_low"][k] = 0.0
         with pytest.raises(TableCheckFailed, match=match):
             dataclasses.replace(tab, **arrays)
+
+
+def _reference_init(self, m, beta, ks):
+    """``_PolyFamily.__init__`` built from full (rows x columns) arrays."""
+    self.m = m
+    self.beta = beta
+    self.ks = np.asarray(ks, dtype=int)
+    n_i = 4 * m + 1
+    I = np.arange(n_i, dtype=float)
+    K = self.ks[:, None].astype(float)
+    diff = I[None, :] - K
+    ratio = np.where(diff >= 1.0, K / np.maximum(diff, 1.0), 0.0)
+    inc = np.log1p(ratio)
+    lnC = np.cumsum(inc.astype(np.longdouble), axis=1).astype(float)
+    pref = np.where(
+        I[None, :] < m,
+        math.log(beta / (2.0 * m)),
+        np.where(I[None, :] == m, 0.0, math.log(beta / (6.0 * m))),
+    )
+    logcoef = lnC + pref
+    logcoef[diff < 0.0] = -np.inf
+    self.logcoef = logcoef
+    self.expo = diff
+
+
+def _reference_eval_rows(self, rows, t):
+    """``_PolyFamily.eval_rows`` with a fresh full-size temporary per step."""
+    lt = np.log(t)
+    LT = self.logcoef[rows] + self.expo[rows] * lt[:, None]
+    pos_log = LT[:, self.m].copy()
+    LT[:, self.m] = -np.inf
+    negmax = LT.max(axis=1)
+    negsum = np.exp(LT - negmax[:, None]).sum(axis=1)
+    logneg = negmax + np.log(negsum)
+    g = pos_log - logneg
+    rowmax = np.maximum(pos_log, negmax)
+    val = np.exp(pos_log - rowmax) - np.exp(logneg - rowmax)
+    return val, g, rowmax
+
+
+def _reference_family(m, beta, ks):
+    fam = object.__new__(_PolyFamily)
+    _reference_init(fam, m, beta, ks)
+    return fam
+
+
+TABLE_ARRAYS = (
+    "t_low", "t_high", "eps_low", "eps_high", "eps_explicit", "residual_low", "residual_high"
+)
+
+
+class TestBlockedEvaluation:
+    """The row-blocked, in-place family build and evaluation make the same
+    IEEE operations in the same order as the full-array reference, so every
+    bit must agree."""
+
+    @pytest.mark.parametrize(
+        "m, ks", [(1, [0, 1]), (100, range(101)), (250, range(0, 251, 3)), (1000, range(0, 1001, 50))]
+    )
+    def test_coefficients_match_full_array_build(self, m, ks):
+        fam = _PolyFamily(m, 1e-6, list(ks))
+        ref = _reference_family(m, 1e-6, list(ks))
+        assert fam.expo.tobytes() == ref.expo.tobytes()
+        assert fam.logcoef.tobytes() == ref.logcoef.tobytes()
+
+    @pytest.mark.parametrize("m", [100, 250, 1000])
+    def test_eval_rows_matches_reference_across_blocks(self, m):
+        fam = _PolyFamily(m, 1e-6, np.arange(m + 1))
+        rng = np.random.default_rng(m)
+        # a sorted subset spanning several blocks whose size is no multiple of one
+        size = 2 * fam._block_rows + 5
+        subset = np.sort(rng.choice(m + 1, size=min(size, m), replace=False))
+        assert subset.size > fam._block_rows and subset.size % fam._block_rows
+        for rows in (subset, np.arange(m + 1)):
+            t = np.exp(rng.uniform(-8.0, 3.0, rows.size))
+            got = fam.eval_rows(rows, t)
+            want = _reference_eval_rows(fam, rows, t)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_tables_match_reference_on_7b_grid(self, monkeypatch):
+        grid = [(m, beta) for m in GRID_M for beta in GRID_BETA]
+        tables = {key: oracle.cached_table(*key) for key in grid}
+        monkeypatch.setattr(_PolyFamily, "__init__", _reference_init)
+        monkeypatch.setattr(_PolyFamily, "eval_rows", _reference_eval_rows)
+        for (m, beta), table in tables.items():
+            ref = epsilon_table(m, beta)
+            for name in TABLE_ARRAYS:
+                got, want = getattr(table, name), getattr(ref, name)
+                assert got.tobytes() == want.tobytes(), (m, beta, name)
 
 
 class TestExplicitUpperBound:
