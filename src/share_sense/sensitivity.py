@@ -119,26 +119,25 @@ class _PolyFamily:
         t entries must be strictly positive. The ratio is formed fully in log
         space so it stays finite (and concave in log t) even where one side
         would underflow; this is what makes the bracketing search reliable.
-        Rows go through one preallocated block buffer, so no temporary of the
-        full (rows x columns) size is made.
+        Rows are gathered block by block into two preallocated buffers, so no
+        temporary of the full (rows x columns) size is made. The gathers use
+        ``mode="clip"``: every row index is valid, and under the default
+        ``mode="raise"`` ``np.take`` copies through a temporary before ``out``.
         """
         lt = np.log(t)
         n = rows.size
-        every = n == self.ks.size  # rows are sorted and distinct
         pos_log = np.empty(n)
         negmax = np.empty(n)
         negsum = np.empty(n)
         buf = np.empty((min(n, self._block_rows), self.expo.shape[1]))
+        coef = np.empty_like(buf)
         for lo in range(0, n, self._block_rows):
             hi = min(lo + self._block_rows, n)
-            LT = buf[: hi - lo]
-            if every:
-                np.multiply(self.expo[lo:hi], lt[lo:hi, None], out=LT)
-                LT += self.logcoef[lo:hi]
-            else:
-                np.take(self.expo, rows[lo:hi], axis=0, out=LT)
-                LT *= lt[lo:hi, None]
-                LT += self.logcoef[rows[lo:hi]]
+            LT, C = buf[: hi - lo], coef[: hi - lo]
+            np.take(self.expo, rows[lo:hi], axis=0, out=LT, mode="clip")
+            np.take(self.logcoef, rows[lo:hi], axis=0, out=C, mode="clip")
+            LT *= lt[lo:hi, None]
+            LT += C
             pos_log[lo:hi] = LT[:, self.m]
             LT[:, self.m] = -np.inf
             LT.max(axis=1, out=negmax[lo:hi])
