@@ -20,6 +20,15 @@ the normalized residual at the reported roots below 1e-10 even at m = 1000.
 Coefficient rows are built, and evaluated in place, in blocks of about 256 KB
 that stay in cache; every operation runs along a whole row as an unblocked
 evaluation would, so the blocking changes no bit of any result.
+
+The negative-side terms of a row are shifted by their maximum before ``exp``.
+Shifted terms below log of the smallest normal float (about -708.4) skip
+``exp``, which is many times slower on subnormal and zero results, and count
+as +0.0. Below -745.2 their ``exp`` is exactly +0.0 anyway; between the two
+it is a subnormal under 2.3e-308, added to a row sum of at least 1 (the
+maximum term is exp(0)), so it could move a bit only through the rounding of
+a tiny partial sum. The bitwise tests against the full ``exp`` show the
+tables unchanged.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ _T_TOL = 1e-12  # absolute bisection width in t
 _RESIDUAL_TOL = 1e-10  # on the largest-term-normalized value
 _GOLDEN_ITERS = 48  # shrinks the golden-section u-bracket by 0.618^48, about 1e-10
 _BLOCK_BYTES = 1 << 18  # 256 KB row blocks of _PolyFamily work stay in L2
+_EXP_FLOOR = math.log(np.finfo(float).smallest_normal)  # shifted terms below skip exp
 
 
 @dataclass(frozen=True)
@@ -68,12 +78,13 @@ class SignedLogValue:
 
     @property
     def value(self) -> float:
-        """Plain float value; overflows to +-inf when the magnitude is huge."""
+        """Plain float value; +-inf when the magnitude exceeds float range."""
         if self.sign == 0:
             return 0.0
-        if self.log_abs > 709.0:
+        try:
+            return self.sign * math.exp(self.log_abs)
+        except OverflowError:
             return math.inf if self.sign > 0 else -math.inf
-        return self.sign * math.exp(self.log_abs)
 
 
 class _PolyFamily:
@@ -131,9 +142,10 @@ class _PolyFamily:
         negsum = np.empty(n)
         buf = np.empty((min(n, self._block_rows), self.expo.shape[1]))
         coef = np.empty_like(buf)
+        live_buf = np.empty(buf.shape, dtype=bool)
         for lo in range(0, n, self._block_rows):
             hi = min(lo + self._block_rows, n)
-            LT, C = buf[: hi - lo], coef[: hi - lo]
+            LT, C, live = buf[: hi - lo], coef[: hi - lo], live_buf[: hi - lo]
             np.take(self.expo, rows[lo:hi], axis=0, out=LT, mode="clip")
             np.take(self.logcoef, rows[lo:hi], axis=0, out=C, mode="clip")
             LT *= lt[lo:hi, None]
@@ -142,7 +154,11 @@ class _PolyFamily:
             LT[:, self.m] = -np.inf
             LT.max(axis=1, out=negmax[lo:hi])
             LT -= negmax[lo:hi, None]
-            np.exp(LT, out=LT)
+            # terms below the floor (-inf included) become +0.0 without exp;
+            # NaN fails the test and maximum keeps it
+            np.greater_equal(LT, _EXP_FLOOR, out=live)
+            np.exp(LT, out=LT, where=live)
+            np.maximum(LT, 0.0, out=LT)
             LT.sum(axis=1, out=negsum[lo:hi])
         logneg = negmax + np.log(negsum)
         g = pos_log - logneg

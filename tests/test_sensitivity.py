@@ -10,6 +10,7 @@ import lp_oracles as oracle
 from share_sense import (
     AgentProfile,
     SharingProblem,
+    SignedLogValue,
     TableCheckFailed,
     assemble,
     closed_form_certificate,
@@ -22,7 +23,7 @@ from share_sense import (
     solve_primal,
     solve_roots,
 )
-from share_sense.sensitivity import _PolyFamily
+from share_sense.sensitivity import _EXP_FLOOR, _U_CAP, _U_FLOOR, _PolyFamily
 from test_acceptance import GRID_BETA, GRID_M
 from test_lp_core import toy_problem
 
@@ -46,6 +47,14 @@ class TestPolyValue:
     def test_rejects_negative_t(self):
         with pytest.raises(ValueError):
             poly_value(3, 1, 0.5, -0.25)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_value_is_finite_up_to_float_range(self, sign):
+        # exp(709.5) = 1.35e308 is finite; only past log(max float) = 709.78 is it inf
+        near = SignedLogValue(sign=sign, log_abs=709.5, normalized=1.0, log_scale=0.0)
+        assert near.value == sign * math.exp(709.5)
+        past = SignedLogValue(sign=sign, log_abs=709.79, normalized=1.0, log_scale=0.0)
+        assert past.value == sign * math.inf
 
     def test_huge_degree_does_not_overflow(self):
         v = poly_value(1000, 500, 1e-8, 0.5)
@@ -249,23 +258,39 @@ class TestBlockedEvaluation:
         assert fam.expo.tobytes() == ref.expo.tobytes()
         assert fam.logcoef.tobytes() == ref.logcoef.tobytes()
 
-    @pytest.mark.parametrize("m", [100, 250, 1000])
+    @pytest.mark.parametrize("m", [50, 100, 200, 250, 1000])
     def test_eval_rows_matches_reference_across_blocks(self, m):
         fam = _PolyFamily(m, 1e-6, np.arange(m + 1))
         rng = np.random.default_rng(m)
-        # a sorted subset spanning several blocks whose size is no multiple of one
+        # a sorted subset spanning several blocks whose size is no multiple of
+        # one; at m = 50 all rows fit in one block
         size = 2 * fam._block_rows + 5
         subset = np.sort(rng.choice(m + 1, size=min(size, m), replace=False))
-        assert subset.size > fam._block_rows and subset.size % fam._block_rows
-        for rows in (subset, np.arange(m + 1)):
-            t = np.exp(rng.uniform(-8.0, 3.0, rows.size))
+        assert subset.size % fam._block_rows
+        assert subset.size > fam._block_rows or m + 1 <= fam._block_rows
+        every = np.arange(m + 1)
+        cases = [(rows, np.exp(rng.uniform(u_lo, u_hi, rows.size)))
+                 for u_lo, u_hi in ((-8.0, 3.0), (_U_FLOOR, _U_CAP))
+                 for rows in (subset, every)]
+        cases.append((every, np.full(m + 1, math.exp(_U_FLOOR))))
+        for rows, t in cases:
             got = fam.eval_rows(rows, t)
             want = _reference_eval_rows(fam, rows, t)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
+        # at the bracket floor most finite terms skip exp, some of them in the
+        # subnormal band [-745.2, _EXP_FLOOR), so the comparison is not vacuous
+        shifted = fam.logcoef + fam.expo * _U_FLOOR
+        shifted[:, m] = -np.inf
+        shifted -= shifted.max(axis=1, keepdims=True)
+        finite = shifted[np.isfinite(shifted)]
+        assert np.mean(finite < _EXP_FLOOR) >= 0.5
+        assert np.any((finite < _EXP_FLOOR) & (finite > -745.2))
 
     def test_tables_match_reference_on_7b_grid(self, monkeypatch):
+        # the 7b grid and the tables of the shipped workloads
         grid = [(m, beta) for m in GRID_M for beta in GRID_BETA]
+        grid += [(50, 1e-7), (100, 1e-7), (200, 1e-7)]
         tables = {key: oracle.cached_table(*key) for key in grid}
         monkeypatch.setattr(_PolyFamily, "__init__", _reference_init)
         monkeypatch.setattr(_PolyFamily, "eval_rows", _reference_eval_rows)
