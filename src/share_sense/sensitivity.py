@@ -24,7 +24,7 @@ evaluation would, so the blocking changes no bit of any result.
 The negative-side terms of a row are shifted by their maximum before ``exp``.
 Shifted terms below log of the smallest normal float (about -708.4) skip
 ``exp``, which is many times slower on subnormal and zero results, and count
-as +0.0. Below -745.2 their ``exp`` is exactly +0.0 anyway; between the two
+as +0.0. Below -745.14 their ``exp`` is exactly +0.0 anyway; between the two
 it is a subnormal under 2.3e-308, added to a row sum of at least 1 (the
 maximum term is exp(0)), so it could move a bit only through the rounding of
 a tiny partial sum. The bitwise tests against the full ``exp`` show the
