@@ -26,7 +26,6 @@ from .duality import (
     DualCertificate,
     SlacknessReport,
     closed_form_certificate,
-    dual_closed_form,
     dual_objective,
     relaxation_values,
     solve_dual_full,

@@ -3,8 +3,9 @@
 The certificate evaluates the newcomer's reduced costs ``c + lam^T A``
 against the multipliers ``lam`` of the current optimal basis; a strictly
 negative entry means the enlarged problem has a better optimum. ``lam`` is
-solved once per base solution, and every newcomer of a screen, however it was
-sampled, is classified in one array pass over the stacked columns.
+the ``PrimalSolution.lam`` the simplex left from its final basis inverse, so
+a screen solves nothing: every newcomer, however it was sampled, is
+classified in one array pass over the stacked columns.
 
 The independent check is a re-solve of the enlarged problem. Appending the
 newcomer's columns at their lower bound keeps the old optimal basis feasible,
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import dual_closed_form
 from .errors import DegenerateBase
 from .lp_core import (
     ACT_TOL,
@@ -104,8 +104,7 @@ def changes_solution(
     """
     _check_base(solution, allow_flagged)
     _check_rows(lp, newcomer.A)
-    lam = dual_closed_form(lp, solution.partition)
-    rc, changed, tie = _classify(lam, newcomer.c, newcomer.A, (0,))
+    rc, changed, tie = _classify(solution.lam, newcomer.c, newcomer.A, (0,))
     return ArrivalVerdict(changes=bool(changed[0]), reduced_costs=rc, tie=bool(tie[0]))
 
 
@@ -241,8 +240,7 @@ def empirical_violation_probability(
         starts = np.cumsum([0] + [nc.n for nc in newcomers[:-1]])
         newcomer = newcomers.__getitem__
 
-    lam = dual_closed_form(lp, solution.partition)
-    _, changed, ties = _classify(lam, cs, As, starts)
+    _, changed, ties = _classify(solution.lam, cs, As, starts)
 
     audited = mismatches = 0
     for i in _audit_draws(draws, audit_fraction):

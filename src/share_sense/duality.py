@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import ACT_TOL, AssembledLP, PrimalSolution, dual_closed_form, solve_primal
+from .lp_core import ACT_TOL, AssembledLP, PrimalSolution, solve_primal
 
 __all__ = [
     "DualCertificate",
     "SlacknessReport",
     "closed_form_certificate",
-    "dual_closed_form",
     "dual_objective",
     "relaxation_values",
     "solve_dual_full",
@@ -58,10 +57,10 @@ def relaxation_values(lp: AssembledLP, nu: np.ndarray) -> np.ndarray:
 
 
 def closed_form_certificate(lp: AssembledLP, solution: PrimalSolution) -> DualCertificate:
-    """Full certificate implied by the optimal basis: lam from the closed
-    form, nu as the positive part of -c - lam^T A (exactly zero on the slack
+    """Full certificate implied by the optimal basis: the solution's ``lam``,
+    and nu as the positive part of -c - lam^T A (exactly zero on the slack
     block and wherever the upper limit is infinite)."""
-    lam = dual_closed_form(lp, solution.partition)
+    lam = solution.lam
     nu = np.maximum(0.0, -lp.c - lam @ lp.A)
     nu[: lp.n0] = 0.0
     nu[~np.isfinite(lp.d)] = 0.0

@@ -52,7 +52,6 @@ __all__ = [
     "assemble",
     "audit_assumptions",
     "check_basic_solution",
-    "dual_closed_form",
     "reduced_costs",
     "solve_primal",
 ]
@@ -229,12 +228,18 @@ class PrimalSolution:
     cost vanishes. Both flags mean the almost-sure assumptions behind the
     sensitivity theory failed for this instance; the solution itself is still
     valid.
+
+    ``lam`` holds the budget multipliers of the final basis for the unscaled
+    rows, so the reduced costs are ``c + lam^T A``. They come from the fresh
+    basis inverse the simplex declared optimality on, and are meaningful at
+    clean optima (at a degenerate one they need not be unique).
     """
 
     x: np.ndarray
     objective: float
     partition: BasisPartition
     agent_spans: tuple[tuple[int, int], ...]
+    lam: np.ndarray
     degenerate: bool = False
     nonunique: bool = False
 
@@ -483,14 +488,7 @@ def _phase1(A, b, d, max_iter: int):
 
     # pivot zero-level artificials out of the basis
     for row in np.flatnonzero(basis1 >= ell):
-        B = A1[:, basis1]
-        e = np.zeros(p)
-        e[row] = 1.0
-        try:
-            yrow = np.linalg.solve(B.T, e)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBasis("phase-1 basis singular during cleanup") from exc
-        pivots = yrow @ A
+        pivots = _invert_basis(A1[:, basis1])[row] @ A
         pivots[basis1[basis1 < ell]] = 0.0
         j = int(np.argmax(np.abs(pivots)))
         if abs(pivots[j]) <= 1e-9:
@@ -562,7 +560,7 @@ def solve_primal(lp: AssembledLP, start: BasisPartition | None = None) -> Primal
         Binv = None
     else:
         basis, vstat, Binv = _start_basis(As, bs, lp.d, start)
-    x, _, r = _bounded_simplex(As, bs, lp.c, lp.d, basis, vstat, max_iter, Binv)
+    x, y, r = _bounded_simplex(As, bs, lp.c, lp.d, basis, vstat, max_iter, Binv)
 
     residual = float(np.max(np.abs(As @ x - bs), initial=0.0))
     if residual > 10.0 * FEAS_TOL:
@@ -589,6 +587,7 @@ def solve_primal(lp: AssembledLP, start: BasisPartition | None = None) -> Primal
         objective=float(lp.c @ x),
         partition=partition,
         agent_spans=lp.agent_spans,
+        lam=-y / scale,
         degenerate=degenerate,
         nonunique=nonunique,
     )
@@ -647,25 +646,20 @@ def check_basic_solution(
     return BasicSolutionCheck(ok=not failures, failures=tuple(failures))
 
 
-def dual_closed_form(lp: AssembledLP, partition: BasisPartition) -> np.ndarray:
-    """Budget multipliers from the optimal basis: solve A_B^T w = c_B and
-    negate. Only meaningful for the partition of a non-degenerate optimum."""
-    basic = list(partition.basic)
-    AB = lp.A[:, basic]
-    try:
-        w = np.linalg.solve(AB.T, lp.c[basic])
-    except np.linalg.LinAlgError as exc:
-        raise SingularBasis("basis matrix is singular") from exc
-    return -w
-
-
 def reduced_costs(lp: AssembledLP, partition: BasisPartition):
     """Reduced-cost vectors over the at-lower and at-upper index sets.
 
     At an optimal basic feasible solution the first is >= 0 and the second
-    <= 0 (up to ``RC_TOL``).
+    <= 0 (up to ``RC_TOL``). The multipliers are solved here from
+    ``A_B^T w = c_B`` rather than read from a solution's ``lam``, so this is
+    an optimality check of any partition that shares nothing with the simplex.
     """
-    r = lp.c + dual_closed_form(lp, partition) @ lp.A
+    basic = list(partition.basic)
+    try:
+        w = np.linalg.solve(lp.A[:, basic].T, lp.c[basic])
+    except np.linalg.LinAlgError as exc:
+        raise SingularBasis("basis matrix is singular") from exc
+    r = lp.c - w @ lp.A
     return r[list(partition.at_lower)], r[list(partition.at_upper)]
 
 

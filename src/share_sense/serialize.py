@@ -62,11 +62,25 @@ def _read_json(source) -> dict:
     return json.loads(Path(source).read_text())
 
 
+def _check_keys(name: str, fields: dict, required, optional=()) -> None:
+    """ValueError naming ``name`` and the key when ``fields`` lacks one of
+    ``required`` or has a key in neither ``required`` nor ``optional``."""
+    unknown = set(fields) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in fields]
+    if missing:
+        raise ValueError(f"{name} is missing {missing}")
+
+
 def load_instance(source) -> SharingProblem:
-    """Read a sharing problem from a path, file object, or parsed dict."""
+    """Read a sharing problem from a path, file object, or parsed dict; a
+    missing or unknown key raises ValueError naming it and its agent."""
     data = _read_json(source)
+    _check_keys("instance", data, ("p", "n0", "b", "agents"))
     agents = []
     for i, raw in enumerate(data["agents"]):
+        _check_keys(f"agent {i}", raw, ("c", "d", "A"))
         c = raw["c"]
         agents.append(
             AgentProfile(
@@ -120,13 +134,8 @@ def _section(name: str, cls, fields: dict):
     """``cls(**fields)``, with a ValueError naming the section and field for
     an unknown or missing field."""
     declared = dataclasses.fields(cls)
-    unknown = set(fields) - {f.name for f in declared}
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    required = (f.name for f in declared if f.default is dataclasses.MISSING)
-    missing = [field for field in required if field not in fields]
-    if missing:
-        raise ValueError(f"{name} is missing {missing}")
+    required = [f.name for f in declared if f.default is dataclasses.MISSING]
+    _check_keys(name, fields, required, [f.name for f in declared])
     return cls(**fields)
 
 

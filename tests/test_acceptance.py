@@ -22,7 +22,6 @@ from share_sense import (
     closed_form_certificate,
     count_active_dual,
     count_active_primal,
-    dual_closed_form,
     dual_objective,
     epsilon_table,
     relaxation_values,
@@ -139,7 +138,7 @@ def test_criterion_4_dual_triple_agreement_500():
         if not sol.clean:
             continue
         _clean_instances.append((lp, sol))
-        lam_cf = dual_closed_form(lp, sol.partition)
+        lam_cf = sol.lam
         cert = solve_dual_full(lp)
         lam_rel, h_rel = solve_dual_relaxation(lp)
         worst_lam = max(

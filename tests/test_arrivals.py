@@ -20,7 +20,7 @@ from share_sense import (
     solve_augmented,
     solve_primal,
 )
-from share_sense import arrivals
+from share_sense import arrivals, lp_core
 from share_sense.lp_core import RC_TOL
 from share_sense.rng import stream
 from test_lp_core import toy_problem
@@ -106,6 +106,39 @@ class TestChangesSolution:
         for sampler in replay_samplers([wide, wide]):
             with pytest.raises(ValueError, match="rows"):
                 empirical_violation_probability(lp, sol, sampler, 2, np.random.default_rng(0))
+
+
+    def test_screens_solve_no_basis(self, monkeypatch):
+        # the verdicts read the solution's lam; no screen factors or solves
+        rng = np.random.default_rng(5)
+        lp = assemble(oracle.random_sharing_problem(rng, n0=0))
+        sol = solve_primal(lp)
+        newcomers = [oracle.random_agent(rng, lp.p, allow_inf=False) for _ in range(6)]
+        singles = [
+            AgentProfile(n=1, c=nc.c[:1], d=nc.d[:1], A=nc.A[:, :1]) for nc in newcomers
+        ]
+        calls = []
+
+        def spy(real):
+            def counting(*args, **kwargs):
+                calls.append(real)
+                return real(*args, **kwargs)
+
+            return counting
+
+        monkeypatch.setattr(lp_core, "_invert_basis", spy(lp_core._invert_basis))
+        monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
+        for nc in newcomers:
+            changes_solution(lp, sol, nc, allow_flagged=True)
+        sampler = lambda rng: newcomers[int(rng.integers(len(newcomers)))]
+        for s in [sampler] + replay_samplers(singles):
+            empirical_violation_probability(
+                lp, sol, s, len(singles), np.random.default_rng(0), allow_flagged=True
+            )
+        assert calls == []
+        # the spies are live: a warm re-solve factors its start basis
+        solve_augmented(lp, newcomers[0], base=sol)
+        assert calls
 
 
 class TestSolveAugmented:
@@ -239,7 +272,7 @@ def test_stacked_screen_matches_one_at_a_time(seed, shape, kinds):
     alone = [changes_solution(lp, sol, nc, allow_flagged=True) for nc in newcomers]
     starts = np.cumsum([0] + [nc.n for nc in newcomers[:-1]])
     rc, changed, tie = arrivals._classify(
-        arrivals.dual_closed_form(lp, sol.partition),
+        sol.lam,
         np.concatenate([nc.c for nc in newcomers]),
         np.hstack([nc.A for nc in newcomers]),
         starts,

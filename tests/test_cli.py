@@ -107,6 +107,23 @@ class TestSerialize:
         with pytest.raises(ValueError, match="mu > 0"):
             load_cargo_config({"m": 4, "W": 1.0, "V": 1.0, "demand": demand})
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda data: data.pop("agents"), r"instance is missing \['agents'\]"),
+            (lambda data: data.pop("b"), r"instance is missing \['b'\]"),
+            (lambda data: data.update(typo=1), r"unknown instance keys: \['typo'\]"),
+            (lambda data: data["agents"][1].pop("d"), r"agent 1 is missing \['d'\]"),
+            (lambda data: data["agents"][0].update(typo=1), r"unknown agent 0 keys: \['typo'\]"),
+        ],
+        ids=["no-agents", "no-b", "top-level-typo", "agent-without-d", "agent-typo"],
+    )
+    def test_instance_names_a_missing_or_unknown_field(self, edit, match):
+        data = json.loads(json.dumps(TOY_INSTANCE))
+        edit(data)
+        with pytest.raises(ValueError, match=match):
+            load_instance(data)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_random_instance_roundtrip(self, seed):
@@ -136,6 +153,13 @@ class TestCliSolve:
         assert code != 0
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
+
+    def test_instance_without_agents_names_the_field(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": 1, "n0": 1, "b": [3.0]}))
+        assert main(["solve", "--instance", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "instance is missing ['agents']"}
 
     def test_infeasible_instance_reports_error(self, tmp_path, capsys):
         bad = {

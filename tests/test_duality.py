@@ -9,7 +9,6 @@ from share_sense import (
     UnboundedProblem,
     assemble,
     closed_form_certificate,
-    dual_closed_form,
     dual_objective,
     relaxation_values,
     solve_dual_full,
@@ -29,7 +28,7 @@ def toy():
 class TestClosedForm:
     def test_toy_multiplier(self, toy):
         lp, sol = toy
-        assert_allclose(dual_closed_form(lp, sol.partition), [1.0], atol=1e-12)
+        assert_allclose(sol.lam, [1.0], atol=1e-12)
 
     def test_slack_only_basis_gives_zero(self):
         prob = SharingProblem(
@@ -38,7 +37,7 @@ class TestClosedForm:
         lp = assemble(prob)
         sol = solve_primal(lp)
         assert sol.partition.basic == (0,)
-        assert_allclose(dual_closed_form(lp, sol.partition), [0.0])
+        assert_allclose(sol.lam, [0.0])
 
     def test_certificate_matches_hand_values(self, toy):
         lp, sol = toy
@@ -133,7 +132,7 @@ class TestRandomCampaign:
             if not sol.clean:
                 continue
             done += 1
-            lam_cf = dual_closed_form(lp, sol.partition)
+            lam_cf = sol.lam
             cert = solve_dual_full(lp)
             lam_rel, h_rel = solve_dual_relaxation(lp)
             # one multiplier vector, three recoveries

@@ -16,14 +16,17 @@ from share_sense import (
     InfeasibleProblem,
     InfeasibleStart,
     PivotLimit,
+    RankDeficient,
     SharingProblem,
     UnboundedProblem,
     UniformDemand,
     assemble,
     audit_assumptions,
+    augment,
     build_problem,
     check_basic_solution,
     reduced_costs,
+    solve_augmented,
     solve_primal,
 )
 from share_sense import duality, lp_core
@@ -334,6 +337,46 @@ class TestTypedFailures:
             solve_primal(assemble(toy_problem()))
 
 
+    def test_rank_deficient(self):
+        # proportional equality rows: phase 1 ends with an artificial at zero
+        # that no structural column can replace
+        lp = AssembledLP(
+            A=[[1.0, 2.0, 1.0], [2.0, 4.0, 2.0]],
+            b=[2.0, 4.0],
+            c=np.ones(3),
+            d=np.full(3, np.inf),
+            n0=0,
+        )
+        with pytest.raises(RankDeficient, match="linearly dependent"):
+            solve_primal(lp)
+
+
+class TestMultipliers:
+    @staticmethod
+    def assert_closed_form(lp, sol):
+        basic = list(sol.partition.basic)
+        ref = -np.linalg.solve(lp.A[:, basic].T, lp.c[basic])
+        assert np.max(np.abs(sol.lam - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_match_closed_form_cold_and_warm(self):
+        # lam = -y / scale from the final inverse on scaled rows, against
+        # A_B^T w = c_B on the unscaled rows
+        rng = np.random.default_rng(77)
+        cold = warm = 0
+        while cold < 120 or warm < 120:
+            lp = assemble(oracle.random_sharing_problem(rng))
+            sol = solve_primal(lp)
+            if not sol.clean:
+                continue
+            self.assert_closed_form(lp, sol)
+            cold += 1
+            newcomer = oracle.random_agent(rng, lp.p)
+            plus = solve_augmented(lp, newcomer, base=sol)
+            if plus.clean:
+                self.assert_closed_form(augment(lp, newcomer), plus)
+                warm += 1
+
+
 class TestCheckBasicSolution:
     def test_solver_output_passes(self):
         lp = assemble(toy_problem())
@@ -379,7 +422,7 @@ class TestReducedCosts:
         assert np.min(r_low) < 0.0
 
     def test_bitwise_equal_to_direct_multiplier_form(self):
-        # reduced_costs reuses the negated closed-form multipliers; c + (-y) A
+        # reduced_costs solves its own multipliers from the partition; it
         # must equal c - y A to the last bit
         rng = np.random.default_rng(41)
         for _ in range(20):
