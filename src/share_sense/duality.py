@@ -9,6 +9,16 @@ Both explicit duals are transcribed to the bounded standard form and solved by
 the same simplex as the primal: one pivoting code path, tested once. Equality
 budget rows leave their multiplier sign-free (encoded by splitting, not by
 penalties); inequality rows keep a non-negative multiplier structurally.
+
+Both duals have a feasible basis read off their own structure (never off a
+primal solution, so the three certificates stay independent checks):
+coordinate row j takes its multiplier nu_j at value -c_j when c_j <= 0 and
+d_j is finite, otherwise its surplus at value c_j, and in the relaxation form
+agent row i takes h_i. In the full dual these columns are singletons, which
+the solver's crash finds by itself. In the relaxation form nu_j also enters
+its agent row, so the crash skips it; the basis is instead block lower
+triangular and is passed to the solver as its start. A coordinate with
+c_j < 0 and d_j = inf has neither column, and then phase 1 runs.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import ACT_TOL, AssembledLP, PrimalSolution, solve_primal
+from .lp_core import ACT_TOL, AssembledLP, BasisPartition, PrimalSolution, solve_primal
 
 __all__ = [
     "DualCertificate",
@@ -75,6 +85,10 @@ def _transcribe_dual(lp: AssembledLP, epigraph: bool):
     split halves for equality rows (p - n0), nu for every finite-limit agent
     coordinate, one surplus per agent coordinate, and, for the epigraph
     (relaxation) form, one h and one slack per agent.
+
+    Returns (dual_lp, meta, start). ``start`` is the structural feasible
+    basis of the epigraph form described in the module docstring, or None
+    for the full form and when some c_j < 0 has d_j = inf.
     """
     p, n0, m = lp.p, lp.n0, lp.m
     q = lp.ell - n0
@@ -112,11 +126,24 @@ def _transcribe_dual(lp: AssembledLP, epigraph: bool):
 
     rhs = np.concatenate([-cg, np.zeros(m)]) if epigraph else -cg
 
+    start = None
     if epigraph:
         M[q + agent_of[fin], nu_off + np.arange(nfin)] = dg[fin]
         M[q + np.arange(m), h_off + np.arange(m)] = -1.0
         M[q + np.arange(m), w_off + np.arange(m)] = 1.0
         cost[h_off : h_off + m] = 1.0
+        nu_col = np.full(q, -1)
+        nu_col[fin] = nu_off + np.arange(nfin)
+        take_nu = (cg <= 0.0) & (nu_col >= 0)
+        if np.all(take_nu | (cg >= 0.0)):
+            basic = np.concatenate(
+                [np.where(take_nu, nu_col, u_off + np.arange(q)), h_off + np.arange(m)]
+            )
+            start = BasisPartition(
+                basic=tuple(basic.tolist()),
+                at_lower=tuple(np.setdiff1d(np.arange(ncols), basic).tolist()),
+                at_upper=(),
+            )
     else:
         cost[nu_off : nu_off + nfin] = dg[fin]
 
@@ -124,7 +151,7 @@ def _transcribe_dual(lp: AssembledLP, epigraph: bool):
         A=M, b=rhs, c=cost, d=np.full(ncols, np.inf), n0=0, agent_spans=()
     )
     meta = dict(fin=fin, q=q, lam_neg=lam_neg, nu_off=nu_off, h_off=h_off)
-    return dual_lp, meta
+    return dual_lp, meta, start
 
 
 def _extract_lam_nu(lp: AssembledLP, x: np.ndarray, meta) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +170,7 @@ def solve_dual_full(lp: AssembledLP) -> DualCertificate:
     (any positive value would drive the objective to -inf), which is encoded
     by simply not giving them a multiplier column.
     """
-    dual_lp, meta = _transcribe_dual(lp, epigraph=False)
+    dual_lp, meta, _ = _transcribe_dual(lp, epigraph=False)
     sol = solve_primal(dual_lp)
     lam, nu = _extract_lam_nu(lp, sol.x, meta)
     return DualCertificate(lam=lam, nu=nu, h=relaxation_values(lp, nu))
@@ -153,10 +180,14 @@ def solve_dual_relaxation(lp: AssembledLP) -> tuple[np.ndarray, np.ndarray]:
     """Solve the relaxation-form dual where each agent's inner maximization is
     resolved to its componentwise positive part and bounded by a scalar h.
 
+    The solve starts from the dual's structural basis (module docstring), so
+    it skips phase 1; only when some coordinate has c_j < 0 and d_j = inf
+    is there no such basis, and phase 1 finds one.
+
     Returns (lam, h).
     """
-    dual_lp, meta = _transcribe_dual(lp, epigraph=True)
-    sol = solve_primal(dual_lp)
+    dual_lp, meta, start = _transcribe_dual(lp, epigraph=True)
+    sol = solve_primal(dual_lp, start=start)
     lam, _ = _extract_lam_nu(lp, sol.x, meta)
     h = sol.x[meta["h_off"] : meta["h_off"] + lp.m].copy()
     return lam, h

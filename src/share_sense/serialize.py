@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 from .cargo import (
@@ -53,18 +54,29 @@ def _limit_to_json(v: float):
     return "inf" if math.isinf(v) else float(v)
 
 
-def _read_json(source) -> dict:
-    """A shallow copy of a parsed dict, or the JSON in a file object or path."""
-    if isinstance(source, dict):
-        return dict(source)
+def _read_json(source):
+    """The JSON in a file object or path; any other source as given."""
     if hasattr(source, "read"):
         return json.load(source)
-    return json.loads(Path(source).read_text())
+    if isinstance(source, (str, os.PathLike)):
+        return json.loads(Path(source).read_text())
+    return source
+
+
+def _typed(name: str, value, kind: type):
+    """``value``, or a ValueError naming ``name`` unless it is a JSON
+    object (``kind`` dict) or array (``kind`` list)."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise ValueError(f"{name} must be {expected}, got {type(value).__name__}")
+    return value
 
 
 def _check_keys(name: str, fields: dict, required, optional=()) -> None:
-    """ValueError naming ``name`` and the key when ``fields`` lacks one of
-    ``required`` or has a key in neither ``required`` nor ``optional``."""
+    """ValueError naming ``name`` and the key when ``fields`` is not an
+    object, lacks one of ``required`` or has a key in neither ``required``
+    nor ``optional``."""
+    _typed(name, fields, dict)
     unknown = set(fields) - set(required) - set(optional)
     if unknown:
         raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
@@ -75,20 +87,16 @@ def _check_keys(name: str, fields: dict, required, optional=()) -> None:
 
 def load_instance(source) -> SharingProblem:
     """Read a sharing problem from a path, file object, or parsed dict; a
-    missing or unknown key raises ValueError naming it and its agent."""
+    missing or unknown key, or a non-array agent list or agent field, raises
+    ValueError naming it and its agent."""
     data = _read_json(source)
     _check_keys("instance", data, ("p", "n0", "b", "agents"))
     agents = []
-    for i, raw in enumerate(data["agents"]):
+    for i, raw in enumerate(_typed("instance field 'agents'", data["agents"], list)):
         _check_keys(f"agent {i}", raw, ("c", "d", "A"))
-        c = raw["c"]
+        c, d, A = (_typed(f"agent {i} field {key!r}", raw[key], list) for key in "cdA")
         agents.append(
-            AgentProfile(
-                n=len(c),
-                c=c,
-                d=[_limit_from_json(v) for v in raw["d"]],
-                A=raw["A"],
-            )
+            AgentProfile(n=len(c), c=c, d=[_limit_from_json(v) for v in d], A=A)
         )
     return SharingProblem(p=data["p"], n0=data["n0"], b=data["b"], agents=tuple(agents))
 
@@ -144,7 +152,7 @@ def load_cargo_config(source) -> CargoConfig:
 
     A missing or unknown field, at the top level or in ``demand``, raises
     ValueError naming the section and the field."""
-    data = _read_json(source)
+    data = dict(_typed("config", _read_json(source), dict))
     if not isinstance(data.get("demand"), dict):
         raise ValueError("config is missing the 'demand' object")
     dist = dict(data["demand"])

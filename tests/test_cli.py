@@ -124,6 +124,38 @@ class TestSerialize:
         with pytest.raises(ValueError, match=match):
             load_instance(data)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (
+                lambda data: data["agents"][1].update(c=-1.0),
+                r"agent 1 field 'c' must be an array, got float",
+            ),
+            (
+                lambda data: data["agents"][0].update(d=2.0),
+                r"agent 0 field 'd' must be an array, got float",
+            ),
+            (
+                lambda data: data.update(agents=5),
+                r"instance field 'agents' must be an array, got int",
+            ),
+        ],
+        ids=["scalar-c", "scalar-d", "scalar-agents"],
+    )
+    def test_instance_names_a_field_of_the_wrong_type(self, edit, match):
+        data = json.loads(json.dumps(TOY_INSTANCE))
+        edit(data)
+        with pytest.raises(ValueError, match=match):
+            load_instance(data)
+
+    def test_instance_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="instance must be an object, got list"):
+            load_instance(path)
+        with pytest.raises(ValueError, match="instance must be an object, got list"):
+            load_instance([1, 2])
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_random_instance_roundtrip(self, seed):

@@ -16,7 +16,8 @@ from share_sense import (
     solve_primal,
     verify_complementary_slackness,
 )
-from test_lp_core import toy_problem
+from share_sense import duality, lp_core
+from test_lp_core import half_size_cargo_lp, toy_problem
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +163,63 @@ class TestRandomCampaign:
             assert np.max(np.abs(cert_fast.lam - cert_lp.lam)) < 1e-6
             assert np.max(np.abs(cert_fast.nu - cert_lp.nu)) < 1e-6
             assert np.max(np.abs(cert_fast.h - cert_lp.h)) < 1e-6
+
+
+class TestRelaxationStart:
+    """The relaxation dual starts from its structural basis; the cold solve
+    of the same transcribed LP, through phase 1, is the reference."""
+
+    @staticmethod
+    def assert_matches_cold(lp):
+        dual_lp, meta, _ = duality._transcribe_dual(lp, epigraph=True)
+        cold = solve_primal(dual_lp)
+        lam_cold, _ = duality._extract_lam_nu(lp, cold.x, meta)
+        h_cold = cold.x[meta["h_off"] : meta["h_off"] + lp.m]
+        lam, h = solve_dual_relaxation(lp)
+        assert np.max(np.abs(lam - lam_cold)) <= 1e-9
+        assert np.max(np.abs(h - h_cold)) <= 1e-9
+        objective = lam @ lp.b + h.sum()
+        assert abs(objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_half_size_cargo_matches_cold_solve(self, seed):
+        lp = half_size_cargo_lp(seed)
+        assert duality._transcribe_dual(lp, epigraph=True)[2] is not None
+        self.assert_matches_cold(lp)
+
+    def test_random_instances_match_cold_solve(self):
+        rng = np.random.default_rng(3000)
+        started = 0
+        for _ in range(200):
+            lp = assemble(oracle.random_sharing_problem(rng))
+            started += duality._transcribe_dual(lp, epigraph=True)[2] is not None
+            self.assert_matches_cold(lp)
+        # both the started and the phase-1 path are exercised
+        assert 0 < started < 200
+
+    def test_unlimited_profitable_agent_has_no_start(self):
+        agents = (
+            AgentProfile(n=1, c=[-3.0], d=[np.inf], A=[[1.0]]),
+            AgentProfile(n=1, c=[-1.0], d=[2.0], A=[[1.0]]),
+        )
+        lp = assemble(SharingProblem(p=1, n0=1, b=[3.0], agents=agents))
+        assert duality._transcribe_dual(lp, epigraph=True)[2] is None
+        cert = solve_dual_full(lp)
+        lam, h = solve_dual_relaxation(lp)
+        assert_allclose(lam, cert.lam, atol=1e-9)
+        assert_allclose(h, relaxation_values(lp, cert.nu), atol=1e-9)
+
+    def test_half_size_cargo_skips_phase_one(self, monkeypatch):
+        # about 11 basis changes from the start against 50 + 37 cold
+        inversions = []
+        invert = lp_core._invert_basis
+
+        def counting_invert(B):
+            inversions.append(B.shape[0])
+            return invert(B)
+
+        monkeypatch.setattr(lp_core, "_REFACTOR_EVERY", 1)
+        monkeypatch.setattr(lp_core, "_invert_basis", counting_invert)
+        solve_dual_relaxation(half_size_cargo_lp(0))
+        # one inversion checks the start, then one per basis change
+        assert len(inversions) - 1 <= 20
