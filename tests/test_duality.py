@@ -210,7 +210,7 @@ class TestRelaxationStart:
         assert_allclose(h, relaxation_values(lp, cert.nu), atol=1e-9)
 
     def test_half_size_cargo_skips_phase_one(self, monkeypatch):
-        # about 11 basis changes from the start against 50 + 37 cold
+        # 12 basis changes from the start, against 50 + 37 through both phases cold
         inversions = []
         invert = lp_core._invert_basis
 
