@@ -8,9 +8,10 @@ active agents per batch, estimates the probability that one more request
 changes the plan, and checks that estimate against the confidence interval for
 the observed count.
 
-W and V have no canonical values here; they are required inputs. The example
-configs ship W = 20000 kg and V = 30 m^3, placeholders chosen to produce mixed
-regimes at m = 100.
+W and V have no canonical values here; they are required inputs. Under the
+placeholders W = 20000 kg and V = 30 m^3 of the two campaign configs the volume
+row never binds (its multiplier is 0 in all 200 trials); V = 6 m^3 in
+``configs/cargo_m100_two_row.json`` prices both rows in 92 of its 100 trials.
 """
 
 from __future__ import annotations

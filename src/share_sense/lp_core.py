@@ -19,14 +19,16 @@ pivoting because realistic instances mix magnitudes like 1 and 1/7000.
 
 Each phase inverts its starting basis once and keeps the inverse across
 pivots, updating it by rank 1 on a basis change and rebuilding it every
-``_REFACTOR_EVERY`` basis changes. Optimality is only declared on a fresh
-inverse, so the returned solution comes from a fresh inverse of the final
-basis, and near-ties in pricing and in the ratio test go to the lowest index,
-so rounding in the updated inverse does not steer the pivots.
+``_REFACTOR_EVERY`` basis changes (every one with at most two rows). Optimality
+is only declared on a fresh inverse, so the returned solution comes from a
+fresh inverse of the final basis, and near-ties in pricing and in the ratio
+test go to the lowest index, so rounding in the updated inverse does not steer
+the pivots.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,14 +99,14 @@ class AgentProfile:
             raise ValueError(
                 f"inconsistent agent dimensions: n={n}, c{c.shape}, d{d.shape}, A{A.shape}"
             )
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("agent costs must be finite")
-        if not np.all(np.isfinite(A)):
+        if not np.isfinite(A).all():
             raise ValueError("agent usage matrix must be finite")
-        if np.any(np.isnan(d)) or np.any(d == -np.inf):
-            raise ValueError("upper limits must be > 0 or +inf")
-        finite = np.isfinite(d)
-        if np.any(d[finite] <= 0.0):
+        # d > 0 fails exactly on NaN, -inf and finite entries <= 0
+        if not (d > 0.0).all():
+            if np.isnan(d).any() or (d == -np.inf).any():
+                raise ValueError("upper limits must be > 0 or +inf")
             raise ValueError("every finite upper limit must be strictly positive")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
@@ -137,7 +139,7 @@ class SharingProblem:
         b = _as_float_vector(self.b, "b")
         if b.shape != (p,):
             raise ValueError(f"b must have length p={p}, got {b.shape}")
-        if not np.all(np.isfinite(b)) or np.any(b < 0.0):
+        if not np.isfinite(b).all() or (b < 0.0).any():
             raise ValueError("resource totals b must be finite and >= 0")
         agents = tuple(self.agents)
         for i, ag in enumerate(agents):
@@ -320,7 +322,7 @@ def _invert_basis(B: np.ndarray) -> np.ndarray:
             raise SingularBasis("1x1 basis is singular")
         return np.array([[1.0 / det]])
     if p == 2:
-        a, bb, cc, dd = B[0, 0], B[0, 1], B[1, 0], B[1, 1]
+        (a, bb), (cc, dd) = B.tolist()  # floats round as numpy scalars do
         det = a * dd - bb * cc
         if abs(det) < 1e-300:
             raise SingularBasis("2x2 basis is singular")
@@ -336,11 +338,14 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, Binv=None):
 
     The basis is inverted once on entry unless the caller passes its inverse
     as ``Binv``. A basis change updates the inverse by rank 1 (the eta update
-    with the entering column ``Binv @ A[:, j]``); a bound flip leaves the
-    basis, and so the inverse, unchanged. Every ``_REFACTOR_EVERY`` basis
-    changes the inverse is rebuilt from ``A[:, basis]`` to shed the rounding
-    the updates accumulate. When pricing on an updated inverse finds no
-    entering column, the basis is re-inverted and priced again before
+    with the entering column ``Binv @ A[:, j]``), and every
+    ``_REFACTOR_EVERY`` basis changes (every one with at most two rows, where
+    that costs fewer calls) rebuilds it from ``A[:, basis]`` to shed the
+    rounding the updates accumulate. A bound flip leaves the basis and its
+    inverse unchanged, so the prices ``y = c_B Binv`` and reduced costs
+    ``r = c - y A`` would come out the same bits; they are kept. When pricing
+    on an updated inverse finds no entering column, the basis is re-inverted
+    and priced again before
     optimality is declared, so the returned values always come from a fresh
     inverse of the final basis. Ties within ``_TIE`` in pricing and pivot
     size, and within rounding in step length, are broken by position, so a
@@ -351,27 +356,29 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, Binv=None):
     """
     bland = False
     degen_run = 0
-    if Binv is None:
-        Binv = _invert_basis(A[:, basis])
     changes = 0  # basis changes since Binv was last inverted
+    y = None  # prices of the current basis and inverse; None once stale
+    t_zero, t_upper = np.empty(basis.size), np.empty(basis.size)  # step per row
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            y = c[basis] @ Binv
-            r = c - y @ A
+            if Binv is None:
+                Binv = _invert_basis(A[:, basis])
+                changes = 0
+            if y is None:
+                y = c[basis] @ Binv
+                r = c - y @ A
 
             viol = r * _PRICE_SIGN[vstat]
             if bland:
-                candidates = np.flatnonzero(viol > RC_TOL)
+                candidates = (viol > RC_TOL).nonzero()[0]
                 j = int(candidates[0]) if candidates.size else -1
             else:
                 best = viol.max()
-                j = int(np.argmax(viol >= best * (1.0 - _TIE))) if best > RC_TOL else -1
+                j = int((viol >= best * (1.0 - _TIE)).argmax()) if best > RC_TOL else -1
             if j < 0:
                 if changes == 0:
                     break
-                Binv = None
-                Binv = _invert_basis(A[:, basis])
-                changes = 0
+                Binv = y = None
                 continue
 
             xB = Binv @ (b - A @ _nonbasic_values(vstat, d))
@@ -383,16 +390,17 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, Binv=None):
             dB = d[basis]
             shrink = delta < -_PIV_TOL
             grow = (delta > _PIV_TOL) & np.isfinite(dB)
-            t_zero = np.where(shrink, xB / np.where(shrink, -delta, 1.0), np.inf)
-            t_upper = np.where(
-                grow, (dB - xB) / np.where(grow, delta, 1.0), np.inf
-            )
+            # a row that cannot block keeps an infinite step
+            t_zero.fill(np.inf)
+            np.divide(xB, -delta, out=t_zero, where=shrink)
+            t_upper.fill(np.inf)
+            np.divide(dB - xB, delta, out=t_upper, where=grow)
             t_rows = np.maximum(np.minimum(t_zero, t_upper), 0.0)
             t_row_min = float(t_rows.min()) if t_rows.size else np.inf
-            t_own = float(d[j]) if np.isfinite(d[j]) else np.inf
+            t_own = float(d[j]) if math.isfinite(d[j]) else np.inf
             t_step = min(t_row_min, t_own)
 
-            if not np.isfinite(t_step):
+            if not math.isfinite(t_step):
                 raise UnboundedProblem(
                     f"entering variable {j} can improve the objective without bound"
                 )
@@ -403,22 +411,21 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, Binv=None):
                 # bound flip: the entering variable traverses its whole range
                 vstat[j] = _AT_UPPER if vstat[j] == _AT_LOWER else _AT_LOWER
             else:
-                near = np.flatnonzero(t_rows <= reach)
+                near = (t_rows <= reach).nonzero()[0]
                 if bland:
-                    row = int(near[np.argmin(basis[near])])
+                    row = int(near[basis[near].argmin()])
                 else:
                     size = np.abs(delta[near])
-                    row = int(near[np.argmax(size >= size.max() * (1.0 - _TIE))])
+                    row = int(near[(size >= size.max() * (1.0 - _TIE)).argmax()])
                 leaving = int(basis[row])
                 hits_zero = t_zero[row] <= t_upper[row]
                 vstat[leaving] = _AT_LOWER if hits_zero else _AT_UPPER
                 basis[row] = j
                 vstat[j] = _BASIC
                 changes += 1
-                if changes == _REFACTOR_EVERY:
+                y = None
+                if changes == _REFACTOR_EVERY or basis.size <= 2:
                     Binv = None
-                    Binv = _invert_basis(A[:, basis])
-                    changes = 0
                 else:
                     prow = Binv[row] / col[row]
                     Binv -= col[:, None] @ prow[None, :]
@@ -444,10 +451,7 @@ def _crash_basis(A, b, d):
     p, ell = A.shape
     basis = np.full(p, -1, dtype=int)
     vstat = np.full(ell, _AT_LOWER, dtype=int)
-    nnz_per_col = np.count_nonzero(A, axis=0)
-    for j in range(ell):
-        if nnz_per_col[j] != 1:
-            continue
+    for j in (np.count_nonzero(A, axis=0) == 1).nonzero()[0].tolist():
         i = int(np.argmax(np.abs(A[:, j])))
         if basis[i] >= 0:
             continue
@@ -505,22 +509,28 @@ def _phase1(A, b, d, max_iter: int):
 
 def _start_basis(A, b, d, start: BasisPartition):
     """Basis, statuses and basis inverse of a caller's partition; raise
-    InfeasibleStart unless its basic values lie within their bounds."""
+    InfeasibleStart unless its basic values lie within their bounds. With p
+    basic of ell indices in [0, ell), the sets partition the columns iff each
+    column gets a status."""
     p, ell = A.shape
-    basis = np.array(start.basic, dtype=int)
-    indices = np.concatenate([basis, start.at_lower, start.at_upper]).astype(int)
-    if basis.size != p or not np.array_equal(np.sort(indices), np.arange(ell)):
+    n_basic, n_lower = len(start.basic), len(start.at_lower)
+    indices = np.array([*start.basic, *start.at_lower, *start.at_upper], dtype=int)
+    vstat = np.full(ell, -1)
+    counted = n_basic == p and indices.size == ell
+    if counted and indices.min() >= 0 and indices.max() < ell:
+        vstat[indices[n_basic + n_lower :]] = _AT_UPPER
+        vstat[indices[n_basic : n_basic + n_lower]] = _AT_LOWER
+        vstat[indices[:n_basic]] = _BASIC
+    if vstat.min() < 0:
         raise ValueError(
             f"start must partition {ell} columns with {p} basic, got "
-            f"{basis.size} basic of {indices.size} indices"
+            f"{n_basic} basic of {indices.size} indices"
         )
-    vstat = np.full(ell, _AT_LOWER, dtype=int)
-    vstat[list(start.at_upper)] = _AT_UPPER
-    vstat[basis] = _BASIC
+    basis = indices[:n_basic]
     Binv = _invert_basis(A[:, basis])
     with np.errstate(invalid="ignore"):
         xB = Binv @ (b - A @ _nonbasic_values(vstat, d))
-        inside = np.all(xB >= -FEAS_TOL) and np.all(xB <= d[basis] + FEAS_TOL)
+        inside = xB.min() >= -FEAS_TOL and (xB <= d[basis] + FEAS_TOL).all()
     if not inside:
         raise InfeasibleStart(
             f"start basis puts a basic variable outside its bounds: x_B = {xB}"
@@ -531,7 +541,7 @@ def _start_basis(A, b, d, start: BasisPartition):
 def _row_scale(lp: AssembledLP) -> np.ndarray:
     """Per-row divisor that brings each row of [A | b] to unit max-norm
     (1 for an all-zero row)."""
-    scale = np.maximum(np.max(np.abs(lp.A), axis=1, initial=0.0), np.abs(lp.b))
+    scale = np.maximum(np.abs(lp.A).max(axis=1, initial=0.0), np.abs(lp.b))
     return np.where(scale > 0.0, scale, 1.0)
 
 
@@ -562,7 +572,7 @@ def solve_primal(lp: AssembledLP, start: BasisPartition | None = None) -> Primal
         basis, vstat, Binv = _start_basis(As, bs, lp.d, start)
     x, y, r = _bounded_simplex(As, bs, lp.c, lp.d, basis, vstat, max_iter, Binv)
 
-    residual = float(np.max(np.abs(As @ x - bs), initial=0.0))
+    residual = float(np.abs(As @ x - bs).max(initial=0.0))
     if residual > 10.0 * FEAS_TOL:
         raise FeasibilityCheckFailed(
             f"solution failed the feasibility check: scaled residual {residual:.3e}"
@@ -570,17 +580,14 @@ def solve_primal(lp: AssembledLP, start: BasisPartition | None = None) -> Primal
 
     xb = x[basis]
     db = lp.d[basis]
-    at_low = xb <= ACT_TOL
     at_up = np.isfinite(db) & (xb >= db - ACT_TOL)
-    degenerate = bool(np.any(at_low | at_up))
-
-    nonbasic = vstat != _BASIC
-    nonunique = bool(np.any(np.abs(r[nonbasic]) <= RC_TOL))
+    degenerate = bool(((xb <= ACT_TOL) | at_up).any())
+    nonunique = bool(((np.abs(r) <= RC_TOL) & (vstat != _BASIC)).any())
 
     partition = BasisPartition(
         basic=tuple(basis.tolist()),
-        at_lower=tuple(np.flatnonzero(vstat == _AT_LOWER).tolist()),
-        at_upper=tuple(np.flatnonzero(vstat == _AT_UPPER).tolist()),
+        at_lower=tuple((vstat == _AT_LOWER).nonzero()[0].tolist()),
+        at_upper=tuple((vstat == _AT_UPPER).nonzero()[0].tolist()),
     )
     return PrimalSolution(
         x=x,

@@ -87,17 +87,19 @@ def _check_keys(name: str, fields: dict, required, optional=()) -> None:
 
 def load_instance(source) -> SharingProblem:
     """Read a sharing problem from a path, file object, or parsed dict; a
-    missing or unknown key, or a non-array agent list or agent field, raises
-    ValueError naming it and its agent."""
+    missing or unknown key, a non-array agent list or field, or an invalid
+    agent raises ValueError naming it and its agent."""
     data = _read_json(source)
     _check_keys("instance", data, ("p", "n0", "b", "agents"))
     agents = []
     for i, raw in enumerate(_typed("instance field 'agents'", data["agents"], list)):
         _check_keys(f"agent {i}", raw, ("c", "d", "A"))
         c, d, A = (_typed(f"agent {i} field {key!r}", raw[key], list) for key in "cdA")
-        agents.append(
-            AgentProfile(n=len(c), c=c, d=[_limit_from_json(v) for v in d], A=A)
-        )
+        try:
+            d = [_limit_from_json(v) for v in d]
+            agents.append(AgentProfile(n=len(c), c=c, d=d, A=A))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"agent {i}: {exc}") from exc
     return SharingProblem(p=data["p"], n0=data["n0"], b=data["b"], agents=tuple(agents))
 
 

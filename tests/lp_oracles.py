@@ -25,6 +25,7 @@ from share_sense import (
     epsilon_table,
     solve_primal,
 )
+from share_sense.lp_core import RC_TOL
 
 FEAS_TOL = 1e-9
 
@@ -194,6 +195,49 @@ def flagged_or_clean_instance(rng: np.random.Generator, shape: str):
             A=lp.A, b=lp.A @ x, c=lp.c, d=lp.d, n0=lp.n0, agent_spans=lp.agent_spans
         )
     return lp, solve_primal(lp)
+
+
+# --- cargo change probability -------------------------------------------------
+
+
+def cargo_change_probability(lam, config) -> float:
+    """Exact chance that one cargo newcomer changes an optimum whose budget
+    multipliers are ``lam`` (weight row, volume row).
+
+    The newcomer's reduced cost is -price + lam_0 + lam_1 / rho, so it changes
+    the optimum iff price > theta(rho) = lam_0 + RC_TOL + lam_1 / rho. With
+    price ~ U[p_min, p_max] independent of rho ~ U[rho_min, rho_max], and the
+    demand not entering, this is the mean over rho of
+    clip((p_max - theta(rho)) / (p_max - p_min), 0, 1). theta is monotone in
+    rho, so the density range splits where theta crosses p_min and p_max; each
+    piece integrates in closed form. Shares no code with the certificate.
+    """
+    lam0, lam1 = float(lam[0]), float(lam[1])
+    p_min, p_max = config.p_min, config.p_max
+    r_min, r_max = config.rho_min, config.rho_max
+    assert p_min < p_max and r_min < r_max and lam1 >= 0.0
+    base = lam0 + RC_TOL
+
+    def theta(rho):
+        return base + lam1 / rho
+
+    cuts = [r_min, r_max]
+    for price in (p_min, p_max):
+        if lam1 > 0.0 and price > base:
+            rho = lam1 / (price - base)
+            if r_min < rho < r_max:
+                cuts.append(rho)
+    cuts.sort()
+    total = 0.0
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        mid = theta(0.5 * (r0 + r1))
+        if mid >= p_max:
+            continue
+        if mid <= p_min:
+            total += r1 - r0
+        else:
+            total += ((p_max - base) * (r1 - r0) - lam1 * math.log(r1 / r0)) / (p_max - p_min)
+    return total / (r_max - r_min)
 
 
 # --- high-precision polynomial oracles ----------------------------------------

@@ -148,6 +148,24 @@ class TestSerialize:
         with pytest.raises(ValueError, match=match):
             load_instance(data)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"c": ["x"]}, r"agent 1: could not convert string to float: 'x'"),
+            (
+                {"c": [1.0, 2.0], "d": [1.0]},
+                r"agent 1: inconsistent agent dimensions: n=2, c\(2,\), d\(1,\)",
+            ),
+            ({"A": [1.0]}, r"agent 1: A must be a matrix, got shape \(1,\)"),
+        ],
+        ids=["non-numeric-c", "short-d", "vector-A"],
+    )
+    def test_instance_names_the_agent_of_an_invalid_profile(self, fields, match):
+        data = json.loads(json.dumps(TOY_INSTANCE))
+        data["agents"][1].update(fields)
+        with pytest.raises(ValueError, match=match):
+            load_instance(data)
+
     def test_instance_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

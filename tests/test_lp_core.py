@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,86 @@ class TestAgentProfileInvariants:
     def test_accepts_infinite_limits(self):
         ag = AgentProfile(n=2, c=[1.0, -1.0], d=[np.inf, 2.0], A=[[1.0, 0.5]])
         assert np.isinf(ag.d[0])
+
+    def test_scalar_fields_are_taken_as_length_one(self):
+        ag = AgentProfile(n=1, c=-2.0, d=3.0, A=[[1.0], [0.5]])
+        assert ag.c.shape == (1,) and ag.d.shape == (1,)
+        assert (ag.c[0], ag.d[0]) == (-2.0, 3.0)
+
+    # each case breaks every check listed after the one it must raise
+    @pytest.mark.parametrize(
+        "n, c, d, A, message",
+        [
+            (0, [np.nan], [np.nan], [[np.nan]], "agent dimension n must be >= 1"),
+            (1, [[1.0]], [0.0], [[1.0]], "c must be one-dimensional, got shape (1, 1)"),
+            (1, [1.0], [[1.0]], [[1.0]], "d must be one-dimensional, got shape (1, 1)"),
+            (1, [np.nan], [0.0], [1.0], "A must be a matrix, got shape (1,)"),
+            (
+                2, [np.nan], [0.0], [[1.0]],
+                "inconsistent agent dimensions: n=2, c(1,), d(1,), A(1, 1)",
+            ),
+            (
+                1, [1.0], [1.0, 2.0], [[1.0]],
+                "inconsistent agent dimensions: n=1, c(1,), d(2,), A(1, 1)",
+            ),
+            (
+                1, [1.0], [1.0], [[1.0, 2.0]],
+                "inconsistent agent dimensions: n=1, c(1,), d(1,), A(1, 2)",
+            ),
+            (1, [np.nan], [np.nan], [[np.inf]], "agent costs must be finite"),
+            (1, [np.inf], [1.0], [[1.0]], "agent costs must be finite"),
+            (1, [-np.inf], [1.0], [[1.0]], "agent costs must be finite"),
+            (1, [1.0], [-np.inf], [[np.nan]], "agent usage matrix must be finite"),
+            (2, [1.0, 1.0], [1.0, 1.0], [[1.0, -np.inf]], "agent usage matrix must be finite"),
+            # NaN and -inf are named before any finite limit <= 0
+            (2, [1.0, 1.0], [0.0, np.nan], [[1.0, 1.0]], "upper limits must be > 0 or +inf"),
+            (2, [1.0, 1.0], [-1.0, -np.inf], [[1.0, 1.0]], "upper limits must be > 0 or +inf"),
+            (1, [1.0], [-np.inf], [[1.0]], "upper limits must be > 0 or +inf"),
+            (
+                2, [1.0, 1.0], [np.inf, -1.0], [[1.0, 1.0]],
+                "every finite upper limit must be strictly positive",
+            ),
+            (1, [1.0], [-0.0], [[1.0]], "every finite upper limit must be strictly positive"),
+        ],
+    )
+    def test_first_failing_check_names_the_error(self, n, c, d, A, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AgentProfile(n=n, c=c, d=d, A=A)
+
+
+class TestAssembledLPInvariants:
+    def test_scalar_vectors_are_taken_as_length_one(self):
+        lp = AssembledLP(A=[[1.0]], b=2.0, c=0.0, d=np.inf, n0=1)
+        assert lp.b.shape == lp.c.shape == lp.d.shape == (1,)
+        assert (lp.p, lp.ell, lp.m) == (1, 1, 0)
+
+    @pytest.mark.parametrize(
+        "A, b, c, d, message",
+        [
+            ([[1.0]], [[1.0]], [0.0], [1.0], "b must be one-dimensional, got shape (1, 1)"),
+            ([[1.0]], [1.0], [[0.0]], [1.0], "c must be one-dimensional, got shape (1, 1)"),
+            ([[1.0]], [1.0], [0.0], [[1.0]], "d must be one-dimensional, got shape (1, 1)"),
+            (
+                [1.0], [1.0], [0.0], [1.0],
+                "inconsistent LP dimensions: A(1,), b(1,), c(1,), d(1,)",
+            ),
+            (
+                [[1.0, 2.0]], [1.0, 2.0], [0.0, 0.0], [1.0, 1.0],
+                "inconsistent LP dimensions: A(1, 2), b(2,), c(2,), d(2,)",
+            ),
+            (
+                [[1.0, 2.0]], [1.0], [0.0], [1.0],
+                "inconsistent LP dimensions: A(1, 2), b(1,), c(1,), d(1,)",
+            ),
+            (
+                [[1.0, 2.0]], [1.0], [0.0, 0.0], [1.0],
+                "inconsistent LP dimensions: A(1, 2), b(1,), c(2,), d(1,)",
+            ),
+        ],
+    )
+    def test_inconsistent_shapes_are_named(self, A, b, c, d, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AssembledLP(A=A, b=b, c=c, d=d, n0=0)
 
 
 class TestSolvePrimal:
@@ -219,6 +300,28 @@ class TestWarmStart:
             solve_primal(lp, start=BasisPartition(basic=(0,), at_lower=(1,), at_upper=()))
         with pytest.raises(ValueError, match="partition"):
             solve_primal(lp, start=BasisPartition(basic=(0, 1), at_lower=(2,), at_upper=()))
+
+    @pytest.mark.parametrize(
+        "basic, at_lower, at_upper, counts",
+        [
+            ((0,), (1, 1), (), "1 basic of 3 indices"),  # duplicate, column 2 missing
+            ((0,), (1,), (1,), "1 basic of 3 indices"),  # one column in two sets
+            ((0,), (1, 3), (), "1 basic of 3 indices"),  # index == ell
+            ((0,), (1, 2), (7,), "1 basic of 4 indices"),  # index > ell, all covered
+            ((0,), (1, -1), (), "1 basic of 3 indices"),  # -1 would wrap to column 2
+            ((-3,), (1, 2), (), "1 basic of 3 indices"),  # -3 would wrap to column 0
+            ((), (0, 1, 2), (), "0 basic of 3 indices"),  # p - 1 basic
+            ((0, 1), (), (2,), "2 basic of 3 indices"),  # p + 1 basic
+            ((0, 1), (2,), (2,), "2 basic of 4 indices"),
+            ((0,), (), (), "1 basic of 1 indices"),
+        ],
+    )
+    def test_start_partition_errors_share_one_message(self, basic, at_lower, at_upper, counts):
+        lp = assemble(toy_problem())
+        start = BasisPartition(basic=basic, at_lower=at_lower, at_upper=at_upper)
+        message = f"start must partition 3 columns with 1 basic, got {counts}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_primal(lp, start=start)
 
 
 def half_size_cargo_lp(seed):
