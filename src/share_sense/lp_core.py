@@ -412,7 +412,9 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, Binv=None):
                 vstat[j] = _AT_UPPER if vstat[j] == _AT_LOWER else _AT_LOWER
             else:
                 near = (t_rows <= reach).nonzero()[0]
-                if bland:
+                if near.size == 1:  # no tie to break
+                    row = int(near[0])
+                elif bland:
                     row = int(near[basis[near].argmin()])
                 else:
                     size = np.abs(delta[near])

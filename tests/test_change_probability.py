@@ -17,6 +17,7 @@ import pytest
 
 import lp_oracles as oracle
 from share_sense import assemble, build_problem, run_campaign, solve_primal
+from share_sense.lp_core import RC_TOL
 from share_sense.rng import stream
 from share_sense.serialize import load_cargo_config
 
@@ -35,6 +36,20 @@ def campaign(name):
         problem = build_problem(config, stream(config.seed, r.trial_index, "agents"))
         lams.append(solve_primal(assemble(problem)).lam)
     return config, records, summary, lams
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [(30.0, 0.0), (0.0, 6.0e4), (5.0, 1.2e5), (22.0, 2.4e4), (70.0, 0.0), (0.0, 0.0)],
+    ids=["weight-only", "both-cuts", "one-cut", "two-row-trial", "never", "always"],
+)
+def test_closed_form_matches_numeric_integration(lam):
+    config = load_cargo_config(CONFIGS / f"{TWO_ROW}.json")
+    n = 1_000_000  # midpoint rule over the density range
+    rho = config.rho_min + (np.arange(n) + 0.5) * (config.rho_max - config.rho_min) / n
+    theta = lam[0] + RC_TOL + lam[1] / rho
+    share = np.clip((config.p_max - theta) / (config.p_max - config.p_min), 0.0, 1.0)
+    assert oracle.cargo_change_probability(lam, config) == pytest.approx(share.mean(), abs=1e-9)
 
 
 def test_two_row_band_coverage():

@@ -242,6 +242,15 @@ class TestSolvePrimal:
         _, obj_ref, _ = oracle.brute_force_optimum(lp)
         assert sol.objective == pytest.approx(obj_ref, abs=1e-9)
 
+    def test_step_tie_leaves_the_row_with_the_largest_pivot(self):
+        # the agent empties both slacks at the same step; on the scaled rows
+        # its pivot entries are 1 and 2, so the second slack leaves
+        agent = AgentProfile(n=1, c=[-1.0], d=[np.inf], A=[[1.0], [2.0]])
+        sol = solve_primal(assemble(SharingProblem(p=2, n0=2, b=[1.0, 2.0], agents=(agent,))))
+        assert sol.partition.basic == (0, 2)
+        assert_allclose(sol.x, [0.0, 0.0, 1.0], atol=1e-12)
+        assert sol.degenerate
+
 
 class TestWarmStart:
     def test_optimal_start_returns_same_x_without_pivots(self, monkeypatch):
