@@ -100,7 +100,7 @@ class TestAgentProfileInvariants:
         assert ag.c.shape == (1,) and ag.d.shape == (1,)
         assert (ag.c[0], ag.d[0]) == (-2.0, 3.0)
 
-    # each case breaks every check listed after the one it must raise
+    # the first failing check names the error; most cases also break later ones
     @pytest.mark.parametrize(
         "n, c, d, A, message",
         [
