@@ -532,7 +532,8 @@ def _start_basis(A, b, d, start: BasisPartition):
     Binv = _invert_basis(A[:, basis])
     with np.errstate(invalid="ignore"):
         xB = Binv @ (b - A @ _nonbasic_values(vstat, d))
-        inside = xB.min() >= -FEAS_TOL and (xB <= d[basis] + FEAS_TOL).all()
+        # a column at upper d = inf makes x_B non-finite; inf - inf is NaN and fails
+        inside = xB.min() >= -FEAS_TOL and (xB - d[basis] <= FEAS_TOL).all()
     if not inside:
         raise InfeasibleStart(
             f"start basis puts a basic variable outside its bounds: x_B = {xB}"

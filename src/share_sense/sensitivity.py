@@ -17,9 +17,10 @@ outward for sign changes, and bisect in t. Binomial log-coefficients are built
 by a cumulative recurrence in extended precision so that errors shared by the
 positive term and the dominant negative terms cancel in the ratio; this keeps
 the normalized residual at the reported roots below 1e-10 even at m = 1000.
-Coefficient rows are built, and evaluated in place, in blocks of about 256 KB
-that stay in cache; every operation runs along a whole row as an unblocked
-evaluation would, so the blocking changes no bit of any result.
+Coefficient rows are built, and evaluated in place over contiguous row ranges,
+in blocks of about 256 KB that stay in cache (the exponent rows are views of
+one vector); every operation runs along a whole row as an unblocked evaluation
+would, so the blocking changes no bit of any result.
 
 The negative-side terms of a row are shifted by their maximum before ``exp``.
 Shifted terms below log of the smallest normal float (about -708.4) skip
@@ -89,7 +90,8 @@ class SignedLogValue:
 
 class _PolyFamily:
     """Log-space coefficient rows of the confidence polynomials for a fixed
-    (m, beta), restricted to the requested k values."""
+    (m, beta), one per k of a consecutive ascending run ``ks``. The exponents
+    i - ks[r] of row r are a window of one vector; ``expo`` is a view."""
 
     def __init__(self, m: int, beta: float, ks):
         if m < 1:
@@ -98,58 +100,58 @@ class _PolyFamily:
             raise ValueError("beta must lie in (0, 1)")
         self.m = m
         self.beta = beta
-        self.ks = np.asarray(ks, dtype=int)
-        if np.any(self.ks < 0) or np.any(self.ks > m):
-            raise ValueError("k must lie in [0, m]")
+        ks = self.ks = np.asarray(ks, dtype=int)
+        if ks.ndim != 1 or not ks.size or np.any(np.diff(ks) != 1) or ks[0] < 0 or ks[-1] > m:
+            raise ValueError(f"ks must be a run of consecutive ascending k in [0, {m}]")
 
         n_i = 4 * m + 1
-        I = np.arange(n_i, dtype=float)
-        K = self.ks[:, None].astype(float)
-        self.expo = I[None, :] - K  # exponent of t for column i, row k
-        self.logcoef = np.empty_like(self.expo)
-        pref = np.where(
-            I < m,
-            math.log(beta / (2.0 * m)),
-            np.where(I == m, 0.0, math.log(beta / (6.0 * m))),
-        )
-        self._block_rows = max(1, _BLOCK_BYTES // self.expo.strides[0])
-        for lo in range(0, self.ks.size, self._block_rows):
-            block = slice(lo, lo + self._block_rows)
-            diff, out = self.expo[block], self.logcoef[block]
-            inc = np.log1p(np.where(diff >= 1.0, K[block] / np.maximum(diff, 1.0), 0.0))
-            # cumulative recurrence log C(i,k) = sum_{j<=i} log(j/(j-k)) along
-            # each row; extended precision keeps the partial-sum rounding below
-            # the residual budget
-            lnC = np.cumsum(inc, axis=1, dtype=np.longdouble).astype(float)
-            np.add(lnC, pref, out=out)
+        K = ks[:, None].astype(float)
+        # row r is i - ks[r]: windows of J from the largest k down, reversed
+        J = np.arange(-ks[-1], n_i - ks[0], dtype=float)
+        self.expo = np.lib.stride_tricks.sliding_window_view(J, n_i)[::-1]
+        self.logcoef = np.empty((ks.size, n_i))
+        pref = np.full(n_i, math.log(beta / (6.0 * m)))
+        pref[:m] = math.log(beta / (2.0 * m))
+        pref[m] = 0.0
+        self._block_rows = max(1, _BLOCK_BYTES // self.logcoef.strides[0])
+        buf = np.empty((min(ks.size, self._block_rows), n_i))
+        for lo in range(0, ks.size, self._block_rows):
+            hi = min(lo + self._block_rows, ks.size)
+            diff, out, inc = self.expo[lo:hi], self.logcoef[lo:hi], buf[: hi - lo]
+            np.maximum(diff, 1.0, out=inc)
+            np.divide(K[lo:hi], inc, out=inc)
+            np.copyto(inc, 0.0, where=diff < 1.0)
+            np.log1p(inc, out=inc)
+            # log C(i,k) = sum_{j<=i} log(j/(j-k)) along each row, accumulated in
+            # extended precision to keep the rounding below the residual budget
+            out[...] = np.cumsum(inc, axis=1, dtype=np.longdouble)
+            out += pref
             out[diff < 0.0] = -np.inf
 
     def eval_rows(self, rows: np.ndarray, t: np.ndarray):
-        """Normalized value and positive/negative log-ratio at t[r] per row.
+        """Normalized value and positive/negative log-ratio at t[j] for the
+        ascending, distinct rows[j].
 
         t entries must be strictly positive. The ratio is formed fully in log
         space so it stays finite (and concave in log t) even where one side
         would underflow; this is what makes the bracketing search reliable.
-        Rows are gathered block by block into two preallocated buffers, so no
-        temporary of the full (rows x columns) size is made. The gathers use
-        ``mode="clip"``: every row index is valid, and under the default
-        ``mode="raise"`` ``np.take`` copies through a temporary before ``out``.
+        The row range rows[0]..rows[-1] is evaluated from slices, in blocks,
+        with no temporary of the full (rows x columns) size; rows in between
+        get t = 1 and are dropped.
         """
-        lt = np.log(t)
-        n = rows.size
-        pos_log = np.empty(n)
-        negmax = np.empty(n)
-        negsum = np.empty(n)
+        a, sel = rows[0], rows - rows[0]
+        lt = np.zeros(sel[-1] + 1)
+        lt[sel] = np.log(t)
+        n = lt.size
+        pos_log, negmax, negsum = np.empty((3, n))
         buf = np.empty((min(n, self._block_rows), self.expo.shape[1]))
-        coef = np.empty_like(buf)
         live_buf = np.empty(buf.shape, dtype=bool)
         for lo in range(0, n, self._block_rows):
             hi = min(lo + self._block_rows, n)
-            LT, C, live = buf[: hi - lo], coef[: hi - lo], live_buf[: hi - lo]
-            np.take(self.expo, rows[lo:hi], axis=0, out=LT, mode="clip")
-            np.take(self.logcoef, rows[lo:hi], axis=0, out=C, mode="clip")
+            LT, live = buf[: hi - lo], live_buf[: hi - lo]
+            np.copyto(LT, self.expo[a + lo : a + hi])
             LT *= lt[lo:hi, None]
-            LT += C
+            LT += self.logcoef[a + lo : a + hi]
             pos_log[lo:hi] = LT[:, self.m]
             LT[:, self.m] = -np.inf
             LT.max(axis=1, out=negmax[lo:hi])
@@ -160,6 +162,7 @@ class _PolyFamily:
             np.exp(LT, out=LT, where=live)
             np.maximum(LT, 0.0, out=LT)
             LT.sum(axis=1, out=negsum[lo:hi])
+        pos_log, negmax, negsum = pos_log[sel], negmax[sel], negsum[sel]
         logneg = negmax + np.log(negsum)
         g = pos_log - logneg
         rowmax = np.maximum(pos_log, negmax)

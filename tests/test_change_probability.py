@@ -9,6 +9,7 @@ sampler, a wrong sign or scale on ``lam``, or a screen off by ``RC_TOL`` shows
 as a z-score far from zero.
 """
 
+import dataclasses
 import functools
 from pathlib import Path
 
@@ -16,7 +17,14 @@ import numpy as np
 import pytest
 
 import lp_oracles as oracle
-from share_sense import assemble, build_problem, run_campaign, solve_primal
+from share_sense import (
+    assemble,
+    build_problem,
+    epsilon_table,
+    run_campaign,
+    sensitivity_interval,
+    solve_primal,
+)
 from share_sense.lp_core import RC_TOL
 from share_sense.rng import stream
 from share_sense.serialize import load_cargo_config
@@ -101,3 +109,26 @@ def test_exact_change_probability_lies_in_interval(name):
     ]
     print(f"\n[{name}] smallest margin of the exact probability: {min(margins):.3f}")
     assert min(margins) >= 0.0
+
+
+def test_interval_misses_at_most_beta_share_at_large_beta():
+    # the confidence statement itself: at beta = 0.1 the exact probability may
+    # leave [eps_low(s*), eps_high(s*)] in at most a share beta of the batches
+    base = load_cargo_config(CONFIGS / "cargo_m100_uniform.json")
+    config = dataclasses.replace(base, m=20, beta=0.1, W=4000.0, V=6.0, seed=123)
+    table = epsilon_table(config.m, config.beta)
+    n = 1000
+    below = above = flagged = 0
+    for i in range(n):
+        sol = solve_primal(assemble(build_problem(config, stream(config.seed, i, "agents"))))
+        if not sol.clean:
+            flagged += 1
+            continue
+        lo, hi, _ = sensitivity_interval(sol, table)
+        exact = oracle.cargo_change_probability(sol.lam, config)
+        below += exact < lo
+        above += exact > hi
+    print(f"\n[m=20, beta=0.1] {below} below, {above} above, {flagged} flagged of {n}")
+    # flagged batches are outside the statement; the count means little if many are
+    assert flagged <= n // 100
+    assert below + above <= config.beta * (n - flagged)

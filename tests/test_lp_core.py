@@ -303,6 +303,24 @@ class TestWarmStart:
         with pytest.raises(InfeasibleStart):
             solve_primal(assemble(prob), start=start)
 
+    def test_infinite_upper_value_raises_where_basic_limit_is_infinite(self):
+        # the unlimited agent at "upper" pushes the slack to +inf, whose own
+        # limit is inf too; the LP itself is bounded
+        prob = SharingProblem(
+            p=1,
+            n0=1,
+            b=[3.0],
+            agents=(
+                AgentProfile(n=1, c=[1.0], d=[np.inf], A=[[-1.0]]),
+                AgentProfile(n=1, c=[-1.0], d=[2.0], A=[[1.0]]),
+            ),
+        )
+        lp = assemble(prob)
+        assert_allclose(solve_primal(lp).x, [1.0, 0.0, 2.0], atol=1e-9)
+        start = BasisPartition(basic=(0,), at_lower=(2,), at_upper=(1,))
+        with pytest.raises(InfeasibleStart):
+            solve_primal(lp, start=start)
+
     def test_start_must_partition_the_columns(self):
         lp = assemble(toy_problem())
         with pytest.raises(ValueError, match="partition"):

@@ -250,13 +250,28 @@ class TestBlockedEvaluation:
     bit must agree."""
 
     @pytest.mark.parametrize(
-        "m, ks", [(1, [0, 1]), (100, range(101)), (250, range(0, 251, 3)), (1000, range(0, 1001, 50))]
+        "m, ks",
+        [(1, [0, 1]), (100, range(101)), (250, range(100, 151)), (1000, range(900, 1001))],
     )
     def test_coefficients_match_full_array_build(self, m, ks):
         fam = _PolyFamily(m, 1e-6, list(ks))
         ref = _reference_family(m, 1e-6, list(ks))
         assert fam.expo.tobytes() == ref.expo.tobytes()
         assert fam.logcoef.tobytes() == ref.logcoef.tobytes()
+
+    @pytest.mark.parametrize("ks", [[0, 2], [3, 2], [1, 1], [], [[0, 1]], [-1, 0], [10, 11]])
+    def test_ks_must_be_a_consecutive_ascending_run(self, ks):
+        with pytest.raises(ValueError, match="consecutive ascending"):
+            _PolyFamily(10, 1e-6, ks)
+
+    @pytest.mark.parametrize("m, ks", [(250, range(251)), (1000, range(900, 1001))])
+    def test_exponents_are_a_view_of_one_vector(self, m, ks):
+        fam = _PolyFamily(m, 1e-6, list(ks))
+        owner = fam.expo
+        while getattr(owner, "base", None) is not None:
+            owner = owner.base
+        assert fam.expo.shape == (len(ks), 4 * m + 1)
+        assert owner.nbytes == 8 * (len(ks) + 4 * m)
 
     @pytest.mark.parametrize("m", [50, 100, 200, 250, 1000])
     def test_eval_rows_matches_reference_across_blocks(self, m):
