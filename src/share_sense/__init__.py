@@ -20,17 +20,14 @@ from .cargo import (
     build_problem,
     run_campaign,
     run_trial,
-    sample_cargo_agent,
 )
 from .duality import (
     DualCertificate,
-    SlacknessReport,
     closed_form_certificate,
     dual_objective,
     relaxation_values,
     solve_dual_full,
     solve_dual_relaxation,
-    verify_complementary_slackness,
 )
 from .errors import (
     AuditMismatch,
@@ -51,6 +48,7 @@ from .lp_core import (
     AgentProfile,
     AssembledLP,
     AuditReport,
+    BasicSolutionCheck,
     BasisPartition,
     PrimalSolution,
     SharingProblem,
@@ -62,14 +60,11 @@ from .lp_core import (
 )
 from .sensitivity import (
     EpsilonTable,
-    SignedLogValue,
     count_active_dual,
     count_active_primal,
     epsilon_table,
     explicit_upper_bound,
-    poly_value,
     sensitivity_interval,
-    solve_roots,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ __all__ = [
     "build_problem",
     "run_campaign",
     "run_trial",
-    "sample_cargo_agent",
 ]
 
 _AUDIT_FRACTION = 0.01  # share of a clean trial's arrivals re-solved as a check
@@ -131,27 +130,13 @@ def _draw_agents(config: CargoConfig, rng: np.random.Generator, size: int):
     return prices, rhos, demands
 
 
-def _profile(price: float, rho: float, demand: float) -> AgentProfile:
-    return AgentProfile(
-        n=1, c=[-price], d=[demand], A=np.array([[1.0], [1.0 / rho]])
-    )
-
-
-def sample_cargo_agent(config: CargoConfig, rng: np.random.Generator) -> AgentProfile:
-    """One shipping request: cost = -price, usage = (1, 1/density)."""
-    price, rho, demand = (v[0] for v in _draw_agents(config, rng, 1))
-    return _profile(price, rho, demand)
-
-
 class CargoArrivalSampler:
-    """Arrival sampler bound to a config; supports batch draws for the
-    vectorized certificate path."""
+    """Arrival sampler bound to a config. It offers only the batch draw
+    ``sample_batch(draws, rng) -> (c, d, A)``: cost -price and usage column
+    (1, 1/density) per request, stacked for the vectorized certificate."""
 
     def __init__(self, config: CargoConfig):
         self.config = config
-
-    def __call__(self, rng: np.random.Generator) -> AgentProfile:
-        return sample_cargo_agent(self.config, rng)
 
     def sample_batch(self, draws: int, rng: np.random.Generator):
         prices, rhos, demands = _draw_agents(self.config, rng, draws)
@@ -163,7 +148,8 @@ def build_problem(config: CargoConfig, rng: np.random.Generator) -> SharingProbl
     """One random batch of m requests under the aircraft's two budget rows."""
     prices, rhos, demands = _draw_agents(config, rng, config.m)
     agents = tuple(
-        _profile(prices[i], rhos[i], demands[i]) for i in range(config.m)
+        AgentProfile(n=1, c=[-prices[i]], d=[demands[i]], A=np.array([[1.0], [1.0 / rhos[i]]]))
+        for i in range(config.m)
     )
     return SharingProblem(p=2, n0=2, b=[config.W, config.V], agents=agents)
 

@@ -27,17 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import ACT_TOL, AssembledLP, BasisPartition, PrimalSolution, solve_primal
+from .lp_core import AssembledLP, BasisPartition, PrimalSolution, solve_primal
 
 __all__ = [
     "DualCertificate",
-    "SlacknessReport",
     "closed_form_certificate",
     "dual_objective",
     "relaxation_values",
     "solve_dual_full",
     "solve_dual_relaxation",
-    "verify_complementary_slackness",
 ]
 
 
@@ -196,77 +194,3 @@ def solve_dual_relaxation(lp: AssembledLP) -> tuple[np.ndarray, np.ndarray]:
 def dual_objective(lp: AssembledLP, cert: DualCertificate) -> float:
     """Value of the dual objective -lam^T b - sum_i h_i at the certificate."""
     return float(-cert.lam @ lp.b - cert.h.sum())
-
-
-@dataclass(frozen=True)
-class SlacknessReport:
-    """Complementary-slackness products and the strict activity/multiplier
-    equivalences that hold at clean optima. ``mismatches`` lists coordinates
-    where an equivalence failed in either direction."""
-
-    max_upper_product: float
-    max_stationarity_product: float
-    products_ok: bool
-    interior_iff_zero_gradient: bool
-    upper_iff_positive_nu: bool
-    mismatches: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.products_ok
-            and self.interior_iff_zero_gradient
-            and self.upper_iff_positive_nu
-        )
-
-
-def verify_complementary_slackness(
-    lp: AssembledLP,
-    solution: PrimalSolution,
-    cert: DualCertificate,
-) -> SlacknessReport:
-    """Check the slackness products (with inf * 0 = 0) plus both directions of
-    the activity/multiplier equivalences. Pure report, never raises."""
-    x = solution.x
-    lam, nu = cert.lam, cert.nu
-    d = lp.d
-    finite = np.isfinite(d)
-
-    gap = np.where(finite, x - np.where(finite, d, 0.0), 0.0)
-    upper_products = np.abs(gap * nu)
-    upper_products = np.where(~finite & (nu > ACT_TOL), np.inf, upper_products)
-
-    grad = -lp.c - lam @ lp.A
-    stationarity_products = np.abs((grad - nu) * x)
-
-    scale = ACT_TOL * (1.0 + np.max(np.abs(x), initial=0.0)) * (
-        1.0 + np.max(np.abs(lam), initial=0.0) + np.max(np.abs(nu), initial=0.0)
-    )
-    products_ok = bool(
-        np.max(upper_products, initial=0.0) <= scale
-        and np.max(stationarity_products, initial=0.0) <= scale
-    )
-
-    interior = (x > ACT_TOL) & (~finite | (x < d - ACT_TOL))
-    zero_grad = np.abs(grad) <= ACT_TOL
-    at_upper = finite & (x >= d - ACT_TOL)
-    nu_pos = nu > ACT_TOL
-
-    mismatches = []
-    for j in np.flatnonzero(interior != zero_grad):
-        mismatches.append(
-            f"coordinate {j}: interior={bool(interior[j])} but |grad|={abs(grad[j]):.3e}"
-        )
-    for j in np.flatnonzero(at_upper != nu_pos):
-        mismatches.append(
-            f"coordinate {j}: at_upper={bool(at_upper[j])} but nu={nu[j]:.3e}"
-        )
-
-    return SlacknessReport(
-        max_upper_product=float(np.max(upper_products, initial=0.0)),
-        max_stationarity_product=float(np.max(stationarity_products, initial=0.0)),
-        products_ok=products_ok,
-        interior_iff_zero_gradient=bool(np.all(interior == zero_grad)),
-        upper_iff_positive_nu=bool(np.all(at_upper == nu_pos)),
-        mismatches=tuple(mismatches),
-    )

@@ -1,9 +1,10 @@
 """Reproducible random streams for simulation campaigns.
 
 Every (seed, trial, purpose) triple owns an independent counter-based stream,
-so a trial draws identical numbers no matter how trials are scheduled across
-workers. Within a stream, draws are consumed in a fixed order (batch sampling
-indexes draws by position).
+so a trial's draws do not depend on which other trials ran before it, and its
+``agents`` and ``arrivals`` streams are independent of each other. Within a
+stream, draws are consumed in a fixed order (batch sampling indexes draws by
+position).
 """
 
 from __future__ import annotations

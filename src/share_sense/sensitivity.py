@@ -2,7 +2,9 @@
 
 For a sample of ``m`` agents and confidence parameter ``beta`` the interval
 endpoints come from the two non-negative roots of a family of degree-4m
-polynomials, one per possible count ``k`` of active agents. Everything here is
+polynomials, one per possible count ``k`` of active agents. The family is
+always built and solved whole, for k = 0..m, and its row index is k;
+``epsilon_table`` is the one entry point to the roots. Everything here is
 evaluated in log space: the coefficients reach sizes like C(4000, 500), far
 beyond float range.
 
@@ -45,14 +47,11 @@ from .lp_core import ACT_TOL, AssembledLP, PrimalSolution, _any_per_segment
 
 __all__ = [
     "EpsilonTable",
-    "SignedLogValue",
     "count_active_dual",
     "count_active_primal",
     "epsilon_table",
     "explicit_upper_bound",
-    "poly_value",
     "sensitivity_interval",
-    "solve_roots",
 ]
 
 _U_FLOOR = -60.0 * math.log(2.0)
@@ -64,59 +63,31 @@ _BLOCK_BYTES = 1 << 18  # 256 KB row blocks of _PolyFamily work stay in L2
 _EXP_FLOOR = math.log(np.finfo(float).smallest_normal)  # shifted terms below skip exp
 
 
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number carried as sign and log magnitude.
-
-    ``normalized`` is the value divided by the largest contributing term; it
-    is the scale-free residual used everywhere a root is checked.
-    """
-
-    sign: int
-    log_abs: float
-    normalized: float
-    log_scale: float
-
-    @property
-    def value(self) -> float:
-        """Plain float value; +-inf when the magnitude exceeds float range."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log_abs)
-        except OverflowError:
-            return math.inf if self.sign > 0 else -math.inf
-
-
 class _PolyFamily:
     """Log-space coefficient rows of the confidence polynomials for a fixed
-    (m, beta), one per k of a consecutive ascending run ``ks``. The exponents
-    i - ks[r] of row r are a window of one vector; ``expo`` is a view."""
+    (m, beta), row k for each k = 0..m. The exponents i - k of row k are a
+    window of one vector; ``expo`` is a view."""
 
-    def __init__(self, m: int, beta: float, ks):
+    def __init__(self, m: int, beta: float):
         if m < 1:
             raise ValueError("m must be >= 1")
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         self.m = m
-        self.beta = beta
-        ks = self.ks = np.asarray(ks, dtype=int)
-        if ks.ndim != 1 or not ks.size or np.any(np.diff(ks) != 1) or ks[0] < 0 or ks[-1] > m:
-            raise ValueError(f"ks must be a run of consecutive ascending k in [0, {m}]")
 
         n_i = 4 * m + 1
-        K = ks[:, None].astype(float)
-        # row r is i - ks[r]: windows of J from the largest k down, reversed
-        J = np.arange(-ks[-1], n_i - ks[0], dtype=float)
+        K = np.arange(m + 1, dtype=float)[:, None]
+        # row k is i - k: windows of J from k = m down, reversed
+        J = np.arange(-m, n_i, dtype=float)
         self.expo = np.lib.stride_tricks.sliding_window_view(J, n_i)[::-1]
-        self.logcoef = np.empty((ks.size, n_i))
+        self.logcoef = np.empty((m + 1, n_i))
         pref = np.full(n_i, math.log(beta / (6.0 * m)))
         pref[:m] = math.log(beta / (2.0 * m))
         pref[m] = 0.0
         self._block_rows = max(1, _BLOCK_BYTES // self.logcoef.strides[0])
-        buf = np.empty((min(ks.size, self._block_rows), n_i))
-        for lo in range(0, ks.size, self._block_rows):
-            hi = min(lo + self._block_rows, ks.size)
+        buf = np.empty((min(m + 1, self._block_rows), n_i))
+        for lo in range(0, m + 1, self._block_rows):
+            hi = min(lo + self._block_rows, m + 1)
             diff, out, inc = self.expo[lo:hi], self.logcoef[lo:hi], buf[: hi - lo]
             np.maximum(diff, 1.0, out=inc)
             np.divide(K[lo:hi], inc, out=inc)
@@ -168,37 +139,6 @@ class _PolyFamily:
         rowmax = np.maximum(pos_log, negmax)
         val = np.exp(pos_log - rowmax) - np.exp(logneg - rowmax)
         return val, g, rowmax
-
-    def value_at_zero(self, k: int) -> float:
-        """Exact limit at t = 0: only the degree-zero term survives."""
-        if k == self.m:
-            return 1.0
-        return -self.beta / (2.0 * self.m)
-
-
-def poly_value(m: int, k: int, beta: float, t: float) -> SignedLogValue:
-    """Stable evaluation of the k-th confidence polynomial at t >= 0.
-
-    Every term is handled as a log magnitude; the two sign classes are summed
-    after rescaling by the largest term, so overflow cannot occur.
-    """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    fam = _PolyFamily(m, beta, [k])
-    if t == 0.0:
-        v = fam.value_at_zero(k)
-        return SignedLogValue(
-            sign=int(np.sign(v)),
-            log_abs=math.log(abs(v)),
-            normalized=math.copysign(1.0, v),
-            log_scale=math.log(abs(v)),
-        )
-    val, _, log_scale = fam.eval_rows(np.array([0]), np.array([t], dtype=float))
-    v = float(val[0])
-    scale = float(log_scale[0])
-    sign = int(np.sign(v))
-    log_abs = math.log(abs(v)) + scale if v != 0.0 else -np.inf
-    return SignedLogValue(sign=sign, log_abs=log_abs, normalized=v, log_scale=scale)
 
 
 def _golden_max(fam: _PolyFamily, rows: np.ndarray):
@@ -269,10 +209,7 @@ def _expand_brackets(fam, rows, u_star, direction: int):
             outer[edge] = 0.0
             active[edge] = False
         elif edge.size:
-            bad = fam.ks[rows[edge]]
-            raise BracketFailure(
-                f"no sign change up to t = 2^40 for k in {sorted(set(int(v) for v in bad))}"
-            )
+            raise BracketFailure(f"no sign change up to t = 2^40 for k in {rows[edge].tolist()}")
         moving = still[~at_edge]
         inner[moving] = np.exp(clipped[moving])
         u_cur[active] = clipped[active]
@@ -315,42 +252,24 @@ def _bisect(fam, rows, t_neg, t_pos):
 
 
 def _solve_family(fam: _PolyFamily):
-    """All roots for the family rows: (t_low, t_high, resid_low, resid_high).
+    """All roots for k = 0..m: (t_low, t_high, resid_low, resid_high).
 
-    Rows with k = m get t_low = 0 by definition (their value at 0 is +1 and
-    the positive window extends to the origin)."""
+    Row m gets t_low = 0 by definition (its value at 0 is +1 and the positive
+    window extends to the origin)."""
     m = fam.m
-    rows = np.arange(fam.ks.size)
+    rows = np.arange(m + 1)
     u_star, g_star = _golden_max(fam, rows)
     if np.any(g_star <= 0.0):
-        bad = fam.ks[rows[g_star <= 0.0]]
-        raise BracketFailure(
-            f"polynomial never positive for k in {sorted(set(int(v) for v in bad))}"
-        )
+        raise BracketFailure(f"polynomial never positive for k in {rows[g_star <= 0.0].tolist()}")
 
-    t_low = np.zeros(rows.size)
-    resid_low = np.full(rows.size, np.nan)
-    left_rows = rows[fam.ks != m]
-    if left_rows.size:
-        inner, outer = _expand_brackets(fam, left_rows, u_star[left_rows], direction=-1)
-        roots, resid = _bisect(fam, left_rows, outer, inner)
-        t_low[left_rows] = roots
-        resid_low[left_rows] = resid
+    t_low = np.zeros(m + 1)
+    resid_low = np.full(m + 1, np.nan)
+    inner, outer = _expand_brackets(fam, rows[:m], u_star[:m], direction=-1)
+    t_low[:m], resid_low[:m] = _bisect(fam, rows[:m], outer, inner)
 
     inner, outer = _expand_brackets(fam, rows, u_star, direction=+1)
     t_high, resid_high = _bisect(fam, rows, outer, inner)
     return t_low, t_high, resid_low, resid_high
-
-
-def solve_roots(m: int, k: int, beta: float) -> tuple[float, float]:
-    """The two non-negative roots of the k-th confidence polynomial.
-
-    For k = m the lower root is 0 by definition and only the unique root of
-    the degree-3m tail equation is computed.
-    """
-    fam = _PolyFamily(m, beta, [k])
-    t_low, t_high, _, _ = _solve_family(fam)
-    return float(t_low[0]), float(t_high[0])
 
 
 def explicit_upper_bound(m: int, k: int, beta: float) -> float:
@@ -437,7 +356,7 @@ def epsilon_table(m: int, beta: float) -> EpsilonTable:
 
     ``eps_explicit`` is the one-sided closed form at beta / 2, which bounds
     ``eps_high`` from above (see ``EpsilonTable``)."""
-    fam = _PolyFamily(m, beta, np.arange(m + 1))
+    fam = _PolyFamily(m, beta)
     t_low, t_high, resid_low, resid_high = _solve_family(fam)
     eps_low = np.maximum(0.0, 1.0 - t_high)
     eps_high = np.maximum(0.0, 1.0 - t_low)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -19,13 +20,15 @@ import numpy as np
 from share_sense import (
     AgentProfile,
     AssembledLP,
+    DualCertificate,
+    PrimalSolution,
     SharingProblem,
     assemble,
     augment,
     epsilon_table,
     solve_primal,
 )
-from share_sense.lp_core import RC_TOL
+from share_sense.lp_core import ACT_TOL, RC_TOL
 
 FEAS_TOL = 1e-9
 
@@ -195,6 +198,83 @@ def flagged_or_clean_instance(rng: np.random.Generator, shape: str):
             A=lp.A, b=lp.A @ x, c=lp.c, d=lp.d, n0=lp.n0, agent_spans=lp.agent_spans
         )
     return lp, solve_primal(lp)
+
+
+# --- complementary slackness (criterion 4) ------------------------------------
+
+
+@dataclass(frozen=True)
+class SlacknessReport:
+    """Complementary-slackness products and the strict activity/multiplier
+    equivalences that hold at clean optima. ``mismatches`` lists coordinates
+    where an equivalence failed in either direction."""
+
+    max_upper_product: float
+    max_stationarity_product: float
+    products_ok: bool
+    interior_iff_zero_gradient: bool
+    upper_iff_positive_nu: bool
+    mismatches: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.products_ok
+            and self.interior_iff_zero_gradient
+            and self.upper_iff_positive_nu
+        )
+
+
+def verify_complementary_slackness(
+    lp: AssembledLP,
+    solution: PrimalSolution,
+    cert: DualCertificate,
+) -> SlacknessReport:
+    """Check the slackness products (with inf * 0 = 0) plus both directions of
+    the activity/multiplier equivalences. Pure report, never raises."""
+    x = solution.x
+    lam, nu = cert.lam, cert.nu
+    d = lp.d
+    finite = np.isfinite(d)
+
+    gap = np.where(finite, x - np.where(finite, d, 0.0), 0.0)
+    upper_products = np.abs(gap * nu)
+    upper_products = np.where(~finite & (nu > ACT_TOL), np.inf, upper_products)
+
+    grad = -lp.c - lam @ lp.A
+    stationarity_products = np.abs((grad - nu) * x)
+
+    scale = ACT_TOL * (1.0 + np.max(np.abs(x), initial=0.0)) * (
+        1.0 + np.max(np.abs(lam), initial=0.0) + np.max(np.abs(nu), initial=0.0)
+    )
+    products_ok = bool(
+        np.max(upper_products, initial=0.0) <= scale
+        and np.max(stationarity_products, initial=0.0) <= scale
+    )
+
+    interior = (x > ACT_TOL) & (~finite | (x < d - ACT_TOL))
+    zero_grad = np.abs(grad) <= ACT_TOL
+    at_upper = finite & (x >= d - ACT_TOL)
+    nu_pos = nu > ACT_TOL
+
+    mismatches = []
+    for j in np.flatnonzero(interior != zero_grad):
+        mismatches.append(
+            f"coordinate {j}: interior={bool(interior[j])} but |grad|={abs(grad[j]):.3e}"
+        )
+    for j in np.flatnonzero(at_upper != nu_pos):
+        mismatches.append(
+            f"coordinate {j}: at_upper={bool(at_upper[j])} but nu={nu[j]:.3e}"
+        )
+
+    return SlacknessReport(
+        max_upper_product=float(np.max(upper_products, initial=0.0)),
+        max_stationarity_product=float(np.max(stationarity_products, initial=0.0)),
+        products_ok=products_ok,
+        interior_iff_zero_gradient=bool(np.all(interior == zero_grad)),
+        upper_iff_positive_nu=bool(np.all(at_upper == nu_pos)),
+        mismatches=tuple(mismatches),
+    )
 
 
 # --- cargo change probability -------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from share_sense import (
     AuditMismatch,
+    CargoArrivalSampler,
     CargoConfig,
     CountMismatch,
     TruncatedGaussianDemand,
@@ -13,7 +14,6 @@ from share_sense import (
     build_problem,
     run_campaign,
     run_trial,
-    sample_cargo_agent,
     solve_primal,
 )
 from share_sense import arrivals, cargo
@@ -37,18 +37,21 @@ def small_config(**overrides):
 
 
 class TestSampling:
+    # both draws: the newcomer batch and the agents of a batch of m requests
     def test_point_mass_price(self):
         config = small_config(p_min=30.0, p_max=30.0)
-        rng = stream(config.seed, 0, "agents")
-        for _ in range(5):
-            ag = sample_cargo_agent(config, rng)
+        cs, _, _ = CargoArrivalSampler(config).sample_batch(5, stream(config.seed, 0, "arrivals"))
+        assert np.all(cs == -30.0)
+        for ag in build_problem(config, stream(config.seed, 0, "agents")).agents:
             assert ag.c[0] == -30.0
 
     def test_usage_column_is_one_over_density(self):
         config = small_config(rho_min=900.0, rho_max=900.0)
-        ag = sample_cargo_agent(config, stream(0, 0, "agents"))
-        assert ag.A[0, 0] == 1.0
-        assert ag.A[1, 0] == pytest.approx(1.0 / 900.0)
+        _, _, A = CargoArrivalSampler(config).sample_batch(1, stream(0, 0, "arrivals"))
+        ag = build_problem(config, stream(0, 0, "agents")).agents[0]
+        for col in (A[:, 0], ag.A[:, 0]):
+            assert col[0] == 1.0
+            assert col[1] == pytest.approx(1.0 / 900.0)
 
     def test_uniform_demand_mean(self):
         demand = UniformDemand(100.0, 300.0)

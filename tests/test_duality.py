@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lp_oracles as oracle
+from lp_oracles import verify_complementary_slackness
 from share_sense import (
     AgentProfile,
     SharingProblem,
@@ -14,7 +15,6 @@ from share_sense import (
     solve_dual_full,
     solve_dual_relaxation,
     solve_primal,
-    verify_complementary_slackness,
 )
 from share_sense import duality, lp_core
 from test_lp_core import half_size_cargo_lp, toy_problem

@@ -10,7 +10,6 @@ import lp_oracles as oracle
 from share_sense import (
     AgentProfile,
     SharingProblem,
-    SignedLogValue,
     TableCheckFailed,
     assemble,
     closed_form_certificate,
@@ -18,10 +17,8 @@ from share_sense import (
     count_active_primal,
     epsilon_table,
     explicit_upper_bound,
-    poly_value,
     sensitivity_interval,
     solve_primal,
-    solve_roots,
 )
 from share_sense.sensitivity import _EXP_FLOOR, _U_CAP, _U_FLOOR, _PolyFamily
 from test_acceptance import GRID_BETA, GRID_M
@@ -33,33 +30,34 @@ T_HIGH_M1_K0 = 3.511600883865039857
 T_HIGH_M1_K1 = 2.179193621873242242
 
 
-class TestPolyValue:
+def row_value(m, k, beta, t):
+    """Normalized value of polynomial k at t > 0 and its log scale, read off
+    the full family by the row evaluation the root search uses."""
+    val, _, log_scale = _PolyFamily(m, beta).eval_rows(np.array([k]), np.array([t]))
+    return float(val[0]), float(log_scale[0])
+
+
+def plain_value(m, k, beta, t):
+    val, log_scale = row_value(m, k, beta, t)
+    return val * math.exp(log_scale)
+
+
+class TestFamilyValues:
+    # t = 2^-60 is the floor of the left bracket search; every term above
+    # degree zero is below 1e-15 of the value there
     def test_value_one_at_origin_for_k_equals_m(self):
-        assert poly_value(5, 5, 0.3, 0.0).value == pytest.approx(1.0)
+        assert plain_value(5, 5, 0.3, math.exp(_U_FLOOR)) == pytest.approx(1.0)
 
     def test_origin_value_is_minus_half_beta_over_m(self):
-        assert poly_value(1, 0, 0.1, 0.0).value == pytest.approx(-0.05, abs=1e-15)
+        assert plain_value(1, 0, 0.1, math.exp(_U_FLOOR)) == pytest.approx(-0.05, abs=1e-15)
 
     def test_rational_point_value(self):
         # 1 - 0.05 - (1 + 1 + 1)/60 evaluated exactly
-        assert poly_value(1, 0, 0.1, 1.0).value == pytest.approx(0.9, abs=1e-14)
-
-    def test_rejects_negative_t(self):
-        with pytest.raises(ValueError):
-            poly_value(3, 1, 0.5, -0.25)
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_value_is_finite_up_to_float_range(self, sign):
-        # exp(709.5) = 1.35e308 is finite; only past log(max float) = 709.78 is it inf
-        near = SignedLogValue(sign=sign, log_abs=709.5, normalized=1.0, log_scale=0.0)
-        assert near.value == sign * math.exp(709.5)
-        past = SignedLogValue(sign=sign, log_abs=709.79, normalized=1.0, log_scale=0.0)
-        assert past.value == sign * math.inf
+        assert plain_value(1, 0, 0.1, 1.0) == pytest.approx(0.9, abs=1e-14)
 
     def test_huge_degree_does_not_overflow(self):
-        v = poly_value(1000, 500, 1e-8, 0.5)
-        assert math.isfinite(v.normalized)
-        assert v.sign in (-1, 0, 1)
+        val, g, log_scale = _PolyFamily(1000, 1e-8).eval_rows(np.array([500]), np.array([0.5]))
+        assert np.all(np.isfinite([val, g, log_scale]))
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -70,9 +68,9 @@ class TestPolyValue:
     )
     def test_matches_exact_rational_oracle(self, m, k_frac, beta, t):
         k = min(m, int(round(k_frac * m)))
-        got = poly_value(m, k, beta, t)
+        got, _ = row_value(m, k, beta, t)
         want = oracle.poly_residual_exact(m, k, beta, t)
-        assert got.normalized == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestLogBinomials:
@@ -83,53 +81,53 @@ class TestLogBinomials:
         k = min(m, int(round(k_frac * m)))
         if i < k:
             return
-        fam = _PolyFamily(m, 0.5, [k])
+        fam = _PolyFamily(m, 0.5)
         if i < m:
             pref = math.log(0.5 / (2 * m))
         elif i == m:
             pref = 0.0
         else:
             pref = math.log(0.5 / (6 * m))
-        ln_c = fam.logcoef[0, i] - pref
+        ln_c = fam.logcoef[k, i] - pref
         assert math.exp(ln_c) == pytest.approx(math.comb(i, k), rel=1e-12)
 
 
-class TestSolveRoots:
+class TestTableRoots:
     def test_frozen_small_case(self):
-        t_low, t_high = solve_roots(1, 0, 0.1)
-        assert t_low == pytest.approx(T_LOW_M1_K0, abs=1e-12)
-        assert t_high == pytest.approx(T_HIGH_M1_K0, abs=1e-11)
+        tab = epsilon_table(1, 0.1)
+        assert tab.t_low[0] == pytest.approx(T_LOW_M1_K0, abs=1e-12)
+        assert tab.t_high[0] == pytest.approx(T_HIGH_M1_K0, abs=1e-11)
+        assert tab.t_high[1] == pytest.approx(T_HIGH_M1_K1, abs=1e-11)
 
-    def test_k_equals_m_lower_root_is_zero(self):
-        for m in (1, 5, 40):
-            t_low, t_high = solve_roots(m, m, 1e-4)
-            assert t_low == 0.0
-            assert t_high > 0.0
-        t_low, t_high = solve_roots(1, 1, 0.1)
-        assert t_high == pytest.approx(T_HIGH_M1_K1, abs=1e-11)
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    def test_k_equals_m_lower_root_is_zero(self, m):
+        tab = epsilon_table(m, 1e-4)
+        assert tab.t_low[m] == 0.0
+        assert tab.t_high[m] > 0.0
 
-    def test_residuals_small_at_roots(self):
-        for m, k, beta in [(1, 0, 0.1), (10, 3, 1e-4), (60, 45, 1e-6)]:
-            t_low, t_high = solve_roots(m, k, beta)
-            for t in (t_low, t_high):
-                assert abs(poly_value(m, k, beta, t).normalized) < 1e-10
+    @pytest.mark.parametrize("m,k,beta", [(1, 0, 0.1), (10, 3, 1e-4), (60, 45, 1e-6)])
+    def test_residuals_small_at_roots(self, m, k, beta):
+        tab = epsilon_table(m, beta)
+        for t in (tab.t_low[k], tab.t_high[k]):
+            assert abs(row_value(m, k, beta, t)[0]) < 1e-10
 
     def test_sign_pattern_around_roots(self):
         m, k, beta = 30, 12, 1e-5
-        t_low, t_high = solve_roots(m, k, beta)
-        assert poly_value(m, k, beta, 0.5 * t_low).sign < 0
-        assert poly_value(m, k, beta, 0.5 * (t_low + t_high)).sign > 0
-        assert poly_value(m, k, beta, 2.0 * t_high).sign < 0
+        tab = epsilon_table(m, beta)
+        t_low, t_high = tab.t_low[k], tab.t_high[k]
+        assert row_value(m, k, beta, 0.5 * t_low)[0] < 0.0
+        assert row_value(m, k, beta, 0.5 * (t_low + t_high))[0] > 0.0
+        assert row_value(m, k, beta, 2.0 * t_high)[0] < 0.0
 
     @pytest.mark.parametrize(
         "m,k,beta",
         [(1, 0, 0.1), (4, 2, 0.05), (8, 8, 0.01), (10, 1, 1e-4), (12, 11, 1e-6)],
     )
     def test_roots_verified_by_exact_arithmetic(self, m, k, beta):
-        t_low, t_high = solve_roots(m, k, beta)
+        tab = epsilon_table(m, beta)
         if k < m:
-            assert abs(oracle.poly_residual_exact(m, k, beta, t_low)) < 1e-10
-        assert abs(oracle.poly_residual_exact(m, k, beta, t_high)) < 1e-10
+            assert abs(oracle.poly_residual_exact(m, k, beta, tab.t_low[k])) < 1e-10
+        assert abs(oracle.poly_residual_exact(m, k, beta, tab.t_high[k])) < 1e-10
 
 
 class TestEpsilonTable:
@@ -195,14 +193,12 @@ class TestEpsilonTable:
             dataclasses.replace(tab, **arrays)
 
 
-def _reference_init(self, m, beta, ks):
+def _reference_init(self, m, beta):
     """``_PolyFamily.__init__`` built from full (rows x columns) arrays."""
     self.m = m
-    self.beta = beta
-    self.ks = np.asarray(ks, dtype=int)
     n_i = 4 * m + 1
     I = np.arange(n_i, dtype=float)
-    K = self.ks[:, None].astype(float)
+    K = np.arange(m + 1, dtype=float)[:, None]
     diff = I[None, :] - K
     ratio = np.where(diff >= 1.0, K / np.maximum(diff, 1.0), 0.0)
     inc = np.log1p(ratio)
@@ -233,9 +229,9 @@ def _reference_eval_rows(self, rows, t):
     return val, g, rowmax
 
 
-def _reference_family(m, beta, ks):
+def _reference_family(m, beta):
     fam = object.__new__(_PolyFamily)
-    _reference_init(fam, m, beta, ks)
+    _reference_init(fam, m, beta)
     return fam
 
 
@@ -249,33 +245,25 @@ class TestBlockedEvaluation:
     IEEE operations in the same order as the full-array reference, so every
     bit must agree."""
 
-    @pytest.mark.parametrize(
-        "m, ks",
-        [(1, [0, 1]), (100, range(101)), (250, range(100, 151)), (1000, range(900, 1001))],
-    )
-    def test_coefficients_match_full_array_build(self, m, ks):
-        fam = _PolyFamily(m, 1e-6, list(ks))
-        ref = _reference_family(m, 1e-6, list(ks))
+    @pytest.mark.parametrize("m", [1, 100, 250, 1000])
+    def test_coefficients_match_full_array_build(self, m):
+        fam = _PolyFamily(m, 1e-6)
+        ref = _reference_family(m, 1e-6)
         assert fam.expo.tobytes() == ref.expo.tobytes()
         assert fam.logcoef.tobytes() == ref.logcoef.tobytes()
 
-    @pytest.mark.parametrize("ks", [[0, 2], [3, 2], [1, 1], [], [[0, 1]], [-1, 0], [10, 11]])
-    def test_ks_must_be_a_consecutive_ascending_run(self, ks):
-        with pytest.raises(ValueError, match="consecutive ascending"):
-            _PolyFamily(10, 1e-6, ks)
-
-    @pytest.mark.parametrize("m, ks", [(250, range(251)), (1000, range(900, 1001))])
-    def test_exponents_are_a_view_of_one_vector(self, m, ks):
-        fam = _PolyFamily(m, 1e-6, list(ks))
+    @pytest.mark.parametrize("m", [250, 1000])
+    def test_exponents_are_a_view_of_one_vector(self, m):
+        fam = _PolyFamily(m, 1e-6)
         owner = fam.expo
         while getattr(owner, "base", None) is not None:
             owner = owner.base
-        assert fam.expo.shape == (len(ks), 4 * m + 1)
-        assert owner.nbytes == 8 * (len(ks) + 4 * m)
+        assert fam.expo.shape == (m + 1, 4 * m + 1)
+        assert owner.nbytes == 8 * (5 * m + 1)
 
     @pytest.mark.parametrize("m", [50, 100, 200, 250, 1000])
     def test_eval_rows_matches_reference_across_blocks(self, m):
-        fam = _PolyFamily(m, 1e-6, np.arange(m + 1))
+        fam = _PolyFamily(m, 1e-6)
         rng = np.random.default_rng(m)
         # a sorted subset spanning several blocks whose size is no multiple of
         # one; at m = 50 all rows fit in one block
