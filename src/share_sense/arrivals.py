@@ -4,8 +4,9 @@ The certificate evaluates the newcomer's reduced costs ``c + lam^T A``
 against the multipliers ``lam`` of the current optimal basis; a strictly
 negative entry means the enlarged problem has a better optimum. ``lam`` is
 the ``PrimalSolution.lam`` the simplex left from its final basis inverse, so
-a screen solves nothing: every newcomer, however it was sampled, is
-classified in one array pass over the stacked columns.
+a screen solves nothing. One newcomer is classified on Python floats by
+``changes_solution``; a batch is classified in one array pass over the
+stacked columns. Both sum in the same order, so they agree to the last bit.
 
 The independent check is a re-solve of the enlarged problem. Appending the
 newcomer's columns at their lower bound keeps the old optimal basis feasible,
@@ -80,6 +81,10 @@ def _classify(lam: np.ndarray, c: np.ndarray, A: np.ndarray, starts):
     ties iff it does not and one of them vanishes. ``lam^T A`` is summed row
     by row, because a BLAS product rounds a column by its place in the stack.
     Returns (rc, changed, tie).
+
+    The batch screen of ``empirical_violation_probability``. It sums in the
+    order of ``changes_solution``, so both give the same bits
+    (``test_stacked_screen_matches_one_at_a_time``).
     """
     rc = lam[0] * A[0]
     for k in range(1, lam.size):
@@ -101,11 +106,25 @@ def changes_solution(
     Refuses flagged (degenerate or non-unique) base solutions unless
     ``allow_flagged`` is set, because the certificate is only reliable under
     the clean-basis conditions.
+
+    The screen for one newcomer: its few columns are summed on Python floats,
+    which skips numpy's fixed cost per call. The order of operations is that
+    of the batch screen ``_classify``, so both give the same bits, signed
+    zeros included (``test_stacked_screen_matches_one_at_a_time``).
     """
     _check_base(solution, allow_flagged)
     _check_rows(lp, newcomer.A)
-    rc, changed, tie = _classify(solution.lam, newcomer.c, newcomer.A, (0,))
-    return ArrivalVerdict(changes=bool(changed[0]), reduced_costs=rc, tie=bool(tie[0]))
+    lam = solution.lam.tolist()
+    rows = newcomer.A.tolist()
+    rc = newcomer.c.tolist()
+    for j, cj in enumerate(rc):
+        r = lam[0] * rows[0][j]
+        for k in range(1, len(lam)):
+            r += lam[k] * rows[k][j]
+        rc[j] = r + cj
+    changed = min(rc) < -RC_TOL
+    tie = not changed and any(abs(r) <= RC_TOL for r in rc)
+    return ArrivalVerdict(changes=changed, reduced_costs=np.array(rc), tie=tie)
 
 
 def augment(lp: AssembledLP, newcomer: AgentProfile) -> AssembledLP:
@@ -113,7 +132,7 @@ def augment(lp: AssembledLP, newcomer: AgentProfile) -> AssembledLP:
     _check_rows(lp, newcomer.A)
     start = lp.ell
     return AssembledLP(
-        A=np.hstack([lp.A, newcomer.A]),
+        A=np.concatenate([lp.A, newcomer.A], axis=1),
         b=lp.b,
         c=np.concatenate([lp.c, newcomer.c]),
         d=np.concatenate([lp.d, newcomer.d]),

@@ -4,13 +4,15 @@ Subcommands: ``solve`` (optimal allocation for an instance file),
 ``sensitivity`` (allocation plus the change-probability interval), ``bounds``
 (the full interval table as CSV), and ``simulate`` (cargo campaign into an
 output directory). Errors leave a machine-readable JSON object on stderr and a
-nonzero exit code.
+nonzero exit code. A reader that closes stdout early, as ``| head`` does, is
+not an error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -119,6 +121,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout now goes nowhere, so the flush at interpreter exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ShareSenseError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +18,7 @@ from share_sense import (
     UniformDemand,
     assemble,
     augment,
+    build_problem,
     changes_solution,
     empirical_violation_probability,
     solve_augmented,
@@ -22,6 +26,7 @@ from share_sense import (
 )
 from share_sense import arrivals, lp_core
 from share_sense.lp_core import RC_TOL
+from share_sense.serialize import load_cargo_config
 from share_sense.rng import stream
 from test_lp_core import toy_problem
 
@@ -258,7 +263,7 @@ def test_multiplier_form_is_the_negated_reduced_cost(data, p, draws):
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    shape=st.sampled_from(["random", "duplicate", "vertex"]),
+    shape=st.sampled_from(["random", "duplicate", "price_tie", "unlimited", "vertex"]),
     kinds=st.lists(st.sampled_from(["random", "tie", "wide"]), min_size=1, max_size=12),
 )
 # here a BLAS product over the stack rounds the third column unlike one over it alone
@@ -285,6 +290,29 @@ def test_stacked_screen_matches_one_at_a_time(seed, shape, kinds):
         lp, sol, lambda rng: next(queue), len(newcomers), rng, allow_flagged=True
     )
     assert (est.changes, est.ties) == (sum(changed), sum(tie))
+
+
+def test_single_screen_matches_stacked_on_cargo_base():
+    """The benchmark's m=50 cargo instance at seed 1 leaves the volume row
+    unpriced, with multiplier -0.0; screened one at a time, 1000 newcomers
+    get the same reduced-cost bits and flags as in the stacked pass."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    base = load_cargo_config(configs / "cargo_m100_uniform.json")
+    config = dataclasses.replace(base, m=50, W=10000.0, V=15.0)
+    lp = assemble(build_problem(config, stream(1, 0, "agents")))
+    sol = solve_primal(lp)
+    assert sol.clean
+    assert np.any((sol.lam == 0.0) & np.signbit(sol.lam))
+    cs, ds, As = CargoArrivalSampler(config).sample_batch(1000, stream(1, 0, "arrivals"))
+    newcomers = [
+        AgentProfile(n=1, c=cs[i : i + 1], d=ds[i : i + 1], A=As[:, i : i + 1])
+        for i in range(1000)
+    ]
+    alone = [changes_solution(lp, sol, nc) for nc in newcomers]
+    rc, changed, tie = arrivals._classify(sol.lam, cs, As, range(1000))
+    assert rc.tobytes() == np.concatenate([v.reduced_costs for v in alone]).tobytes()
+    assert changed.tolist() == [v.changes for v in alone]
+    assert tie.tolist() == [v.tie for v in alone]
 
 
 class TestCertificateMatchesResolve:
@@ -404,8 +432,6 @@ class TestEmpiricalViolationProbability:
             m=4, W=6.0, V=0.004, demand=UniformDemand(1.0, 3.0), p_min=1.0, p_max=4.0,
             rho_min=900.0, rho_max=7000.0, seed=3,
         )
-        from share_sense import build_problem
-
         lp = assemble(build_problem(config, stream(3, 0, "agents")))
         sol = solve_primal(lp)
         cs, ds, As = CargoArrivalSampler(config).sample_batch(400, stream(3, 0, "arrivals"))

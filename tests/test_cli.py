@@ -1,6 +1,9 @@
 import csv
+import fcntl
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -260,6 +263,27 @@ class TestCliBounds:
         assert main(["bounds", "--m", "2", "--beta", "0.01", "--out", str(out)]) == 0
         assert main(["bounds", "--m", "2", "--beta", "0.01"]) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
+
+    def test_reader_closing_stdout_early_is_not_an_error(self):
+        """``share-sense bounds ... | head -n 1`` exits 0 with nothing on stderr."""
+        read_fd, write_fd = os.pipe()
+        # a one-page pipe holds a fifth of the 20 kB table, so the command is
+        # still writing when the reader leaves after the first line
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "share_sense", "bounds", "--m", "200", "--beta", "1e-6"],
+            stdout=write_fd,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as out:
+            first = out.readline()
+        _, err = proc.communicate(timeout=120)
+        assert first == b"k,t_low,t_high,eps_low,eps_high,eps_explicit\r\n"
+        assert (proc.returncode, err) == (0, b"")
 
 
 class TestCliSimulate:
