@@ -26,8 +26,8 @@ from share_sense import (
 )
 from share_sense import arrivals, lp_core
 from share_sense.lp_core import RC_TOL
-from share_sense.serialize import load_cargo_config
 from share_sense.rng import stream
+from share_sense.serialize import load_cargo_config
 from test_lp_core import toy_problem
 
 
