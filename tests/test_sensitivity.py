@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import lp_oracles as oracle
 from share_sense import (
     AgentProfile,
+    BracketFailure,
     SharingProblem,
     TableCheckFailed,
     assemble,
@@ -20,6 +22,7 @@ from share_sense import (
     sensitivity_interval,
     solve_primal,
 )
+from share_sense import sensitivity
 from share_sense.sensitivity import _EXP_FLOOR, _U_CAP, _U_FLOOR, _PolyFamily
 from test_acceptance import GRID_BETA, GRID_M
 from test_lp_core import toy_problem
@@ -302,6 +305,84 @@ class TestBlockedEvaluation:
             for name in TABLE_ARRAYS:
                 got, want = getattr(table, name), getattr(ref, name)
                 assert got.tobytes() == want.tobytes(), (m, beta, name)
+
+
+def _partitions(m):
+    """Cut points of 0..m: halves, an uneven 3-way split, single-row runs at
+    both ends, and a run holding only row m (the ones m allows, deduplicated)."""
+    n = m + 1
+    cases = ([n // 2], [n // 5, n // 5 + n // 2], [1, m], [m])
+    return sorted({tuple(sorted({c for c in cuts if 0 < c < n})) for cuts in cases})
+
+
+class TestRowRuns:
+    """The family is solved in contiguous runs of rows, one thread per run;
+    each row's search reads only its own row, so any split gives the bits of
+    one run over all rows."""
+
+    @pytest.mark.parametrize("beta", [1e-4, 1e-8])
+    @pytest.mark.parametrize("m", [1, 10, 100, 250])
+    def test_any_split_matches_one_run(self, monkeypatch, m, beta):
+        fam = _PolyFamily(m, beta)
+        every = np.arange(m + 1)
+        whole = sensitivity._solve_rows(fam, every)
+        for cuts in _partitions(m):
+            parts = [sensitivity._solve_rows(fam, rows) for rows in np.split(every, cuts)]
+            for got, want in zip(zip(*parts), whole):
+                assert np.concatenate(got).tobytes() == want.tobytes(), (m, beta, cuts)
+        monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 1)
+        one = epsilon_table(m, beta)
+        for name, want in zip(("t_low", "t_high", "residual_low", "residual_high"), whole):
+            assert getattr(one, name).tobytes() == want.tobytes(), (m, beta, name)
+        # three CPUs split m = 250 into three runs; smaller tables stay on one
+        monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 3)
+        split = epsilon_table(m, beta)
+        for name in TABLE_ARRAYS:
+            assert getattr(split, name).tobytes() == getattr(one, name).tobytes(), (m, beta, name)
+
+    @pytest.mark.parametrize(
+        "m, cpus, runs", [(50, 2, 1), (100, 2, 1), (250, 1, 1), (250, 2, 2), (250, 64, 7)]
+    )
+    def test_run_count_follows_cpus_and_block_size(self, monkeypatch, m, cpus, runs):
+        calls = []
+        solve_rows = sensitivity._solve_rows
+
+        def spy(fam, rows):
+            calls.append((rows, threading.get_ident()))
+            return solve_rows(fam, rows)
+
+        monkeypatch.setattr(sensitivity, "_solve_rows", spy)
+        monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        epsilon_table(m, 1e-6)
+        assert threading.active_count() == before
+        assert len(calls) == runs
+        rows = np.concatenate([r for r, _ in sorted(calls, key=lambda c: c[0][0])])
+        assert np.array_equal(rows, np.arange(m + 1))
+        in_caller = [ident == threading.get_ident() for _, ident in calls]
+        assert in_caller == [runs == 1] * runs
+
+    def test_bracket_failure_in_a_worker_is_raised_and_joined(self, monkeypatch):
+        # with t capped at 1 the top rows (t_high > 1 at m = 250) find no sign
+        # change to the right; they lie in the second of two runs
+        monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sensitivity, "_U_CAP", 0.0)
+        raised_in = []
+        expand = sensitivity._expand_brackets
+
+        def spy(*args, **kwargs):
+            try:
+                return expand(*args, **kwargs)
+            except BracketFailure:
+                raised_in.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(sensitivity, "_expand_brackets", spy)
+        before = threading.active_count()
+        with pytest.raises(BracketFailure, match="no sign change"):
+            epsilon_table(250, 1e-6)
+        assert threading.active_count() == before
+        assert raised_in and threading.current_thread() not in raised_in
 
 
 class TestExplicitUpperBound:
