@@ -5,8 +5,10 @@ against the multipliers ``lam`` of the current optimal basis; a strictly
 negative entry means the enlarged problem has a better optimum. ``lam`` is
 the ``PrimalSolution.lam`` the simplex left from its final basis inverse, so
 a screen solves nothing. One newcomer is classified on Python floats by
-``changes_solution``; a batch is classified in one array pass over the
-stacked columns. Both sum in the same order, so they agree to the last bit.
+``changes_solution``. ``empirical_violation_probability`` takes a batch as
+stacked columns ``(c, d, A)`` plus the column where each newcomer starts, and
+classifies it in one array pass. Both sum in the same order, so they agree
+to the last bit.
 
 The independent check is a re-solve of the enlarged problem. Appending the
 newcomer's columns at their lower bound keeps the old optimal basis feasible,
@@ -221,52 +223,46 @@ def _audit_draws(draws: int, fraction: float) -> np.ndarray:
 def empirical_violation_probability(
     lp: AssembledLP,
     solution: PrimalSolution,
-    sampler,
-    draws: int,
-    rng: np.random.Generator,
+    c: np.ndarray,
+    d: np.ndarray,
+    A: np.ndarray,
+    starts=None,
     audit_fraction: float = 0.0,
     allow_flagged: bool = False,
 ) -> ViolationEstimate:
-    """Monte Carlo estimate over ``draws`` i.i.d. newcomers from ``sampler``.
+    """Monte Carlo estimate over stacked i.i.d. newcomers.
 
-    ``sampler(rng)`` must return an AgentProfile; a sampler exposing
-    ``sample_batch(draws, rng) -> (c, d, A)`` (stacked arrays for scalar
-    agents) is asked for the whole batch at once. Either way the newcomers
-    are classified together by the certificate; re-solves run only on the
-    audit subsample: draw i wherever floor(i * audit_fraction) steps up,
-    ties skipped.
+    Newcomer i owns the columns of ``c``, ``d`` and ``A`` from ``starts[i]``
+    up to the next start; ``starts=None`` gives each column its own newcomer,
+    as the campaign's scalar arrivals have. All newcomers are classified
+    together by the certificate; re-solves run only on the audit subsample:
+    draw i wherever floor(i * audit_fraction) steps up, ties skipped.
     """
-    if draws < 1:
-        raise ValueError("need at least one draw")
     if not 0.0 <= audit_fraction <= 1.0:
         raise ValueError(f"audit_fraction must lie in [0, 1], got {audit_fraction}")
     _check_base(solution, allow_flagged)
+    _check_rows(lp, A)
+    ncols = A.shape[1]
+    if c.shape != (ncols,) or d.shape != (ncols,):
+        raise ValueError(f"newcomer stack has c{c.shape} and d{d.shape} for {ncols} columns")
+    if starts is None:
+        starts = range(ncols)  # one column each; a range allocates no array
+    elif not (len(starts) and starts[0] == 0 and starts[-1] < ncols and np.all(np.diff(starts) > 0)):
+        raise ValueError(f"starts must begin at 0 and ascend strictly below {ncols} columns")
+    draws = len(starts)
+    if draws < 1:
+        raise ValueError("need at least one draw")
 
-    if hasattr(sampler, "sample_batch"):
-        cs, ds, As = sampler.sample_batch(draws, rng)
-        _check_rows(lp, As)
-        starts = range(draws)  # one column each; a range allocates no array
-
-        def newcomer(i: int) -> AgentProfile:
-            return AgentProfile(n=1, c=cs[i : i + 1], d=ds[i : i + 1], A=As[:, i : i + 1])
-
-    else:
-        newcomers = [sampler(rng) for _ in range(draws)]
-        for nc in newcomers:
-            _check_rows(lp, nc.A)
-        cs = np.concatenate([nc.c for nc in newcomers])
-        As = np.hstack([nc.A for nc in newcomers])
-        starts = np.cumsum([0] + [nc.n for nc in newcomers[:-1]])
-        newcomer = newcomers.__getitem__
-
-    _, changed, ties = _classify(solution.lam, cs, As, starts)
+    _, changed, ties = _classify(solution.lam, c, A, starts)
 
     audited = mismatches = 0
     for i in _audit_draws(draws, audit_fraction):
         if ties[i]:
             continue
+        lo, hi = starts[i], starts[i + 1] if i + 1 < draws else ncols
+        newcomer = AgentProfile(n=hi - lo, c=c[lo:hi], d=d[lo:hi], A=A[:, lo:hi])
         audited += 1
-        mismatches += _audit_disagrees(lp, solution, newcomer(i), bool(changed[i]))
+        mismatches += _audit_disagrees(lp, solution, newcomer, bool(changed[i]))
     n_changes = int(changed.sum())
     return ViolationEstimate(
         fraction=n_changes / draws,

@@ -131,9 +131,10 @@ def _draw_agents(config: CargoConfig, rng: np.random.Generator, size: int):
 
 
 class CargoArrivalSampler:
-    """Arrival sampler bound to a config. It offers only the batch draw
-    ``sample_batch(draws, rng) -> (c, d, A)``: cost -price and usage column
-    (1, 1/density) per request, stacked for the vectorized certificate."""
+    """Arrival sampler bound to a config. ``sample_batch(draws, rng) -> (c, d, A)``
+    stacks one column per request: cost -price, demand cap and usage
+    (1, 1/density). ``run_trial`` draws the batch itself and screens it with
+    ``empirical_violation_probability`` at one column per newcomer."""
 
     def __init__(self, config: CargoConfig):
         self.config = config
@@ -200,12 +201,13 @@ def run_trial(config: CargoConfig, trial_index: int, table: EpsilonTable) -> Tri
             )
 
     arrival_rng = rng_streams.stream(config.seed, trial_index, "arrivals")
+    c, d, A = CargoArrivalSampler(config).sample_batch(config.n_arrivals, arrival_rng)
     estimate = empirical_violation_probability(
         lp,
         solution,
-        CargoArrivalSampler(config),
-        config.n_arrivals,
-        arrival_rng,
+        c,
+        d,
+        A,
         audit_fraction=_AUDIT_FRACTION if solution.clean else 0.0,
         allow_flagged=True,
     )

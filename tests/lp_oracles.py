@@ -104,6 +104,16 @@ def random_agent(rng: np.random.Generator, p: int, allow_inf: bool = True) -> Ag
     )
 
 
+def stack(profiles):
+    """Newcomer profiles stacked as ``empirical_violation_probability`` takes
+    them: (c, d, A, starts), newcomer i owning the columns from starts[i]."""
+    c = np.concatenate([nc.c for nc in profiles])
+    d = np.concatenate([nc.d for nc in profiles])
+    A = np.concatenate([nc.A for nc in profiles], axis=1)
+    starts = np.cumsum([0] + [nc.n for nc in profiles[:-1]])
+    return c, d, A, starts
+
+
 def random_sharing_problem(
     rng: np.random.Generator,
     max_ell: int = 12,

@@ -45,18 +45,6 @@ def unprofitable_newcomer():
     return AgentProfile(n=1, c=[-0.5], d=[1.0], A=[[1.0]])
 
 
-def replay_samplers(newcomers):
-    """A per-profile sampler and a batch sampler serving ``newcomers``, which
-    must have one column each, in order."""
-    queue = iter(newcomers)
-
-    class Batch:
-        def sample_batch(self, draws, rng):
-            return tuple(np.hstack([getattr(nc, k) for nc in newcomers]) for k in "cdA")
-
-    return [lambda rng: next(queue), Batch()]
-
-
 class TestChangesSolution:
     def test_profitable_arrival_changes(self, toy):
         lp, sol = toy
@@ -93,14 +81,15 @@ class TestChangesSolution:
 
     def test_underflowing_weight_changes_on_every_path(self):
         # the reduced cost -1e-8 is a change even though gain * d underflows
-        # to 0; one newcomer and both sampler paths say so alike
+        # to 0; one newcomer and a stack, with explicit or implied starts, say so alike
         one = AgentProfile(n=1, c=[-1.0], d=[1.0], A=[[1.0]])
         lp = assemble(SharingProblem(p=1, n0=1, b=[2.0], agents=(one,)))
         sol = solve_primal(lp)
         tiny = AgentProfile(n=1, c=[-1e-8], d=[1e-320], A=[[1.0]])
         assert changes_solution(lp, sol, tiny).changes
-        for sampler in replay_samplers([tiny] * 3):
-            est = empirical_violation_probability(lp, sol, sampler, 3, np.random.default_rng(0))
+        c, d, A, starts = oracle.stack([tiny] * 3)
+        for s in (starts, None):
+            est = empirical_violation_probability(lp, sol, c, d, A, starts=s)
             assert (est.changes, est.ties) == (3, 0)
 
     def test_dimension_mismatch_rejected(self, toy):
@@ -108,10 +97,6 @@ class TestChangesSolution:
         wide = AgentProfile(n=1, c=[-1.0], d=[1.0], A=[[1.0], [1.0]])
         with pytest.raises(ValueError, match="rows"):
             changes_solution(lp, sol, wide)
-        for sampler in replay_samplers([wide, wide]):
-            with pytest.raises(ValueError, match="rows"):
-                empirical_violation_probability(lp, sol, sampler, 2, np.random.default_rng(0))
-
 
     def test_screens_solve_no_basis(self, monkeypatch):
         # the verdicts read the solution's lam; no screen factors or solves
@@ -135,11 +120,10 @@ class TestChangesSolution:
         monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
         for nc in newcomers:
             changes_solution(lp, sol, nc, allow_flagged=True)
-        sampler = lambda rng: newcomers[int(rng.integers(len(newcomers)))]
-        for s in [sampler] + replay_samplers(singles):
-            empirical_violation_probability(
-                lp, sol, s, len(singles), np.random.default_rng(0), allow_flagged=True
-            )
+        drawn = [newcomers[int(rng.integers(len(newcomers)))] for _ in singles]
+        c, d, A, starts = oracle.stack(singles)
+        for stack in [oracle.stack(drawn), (c, d, A, starts), (c, d, A, None)]:
+            empirical_violation_probability(lp, sol, *stack, allow_flagged=True)
         assert calls == []
         # the spies are live: a warm re-solve factors its start basis
         solve_augmented(lp, newcomers[0], base=sol)
@@ -285,10 +269,8 @@ def test_stacked_screen_matches_one_at_a_time(seed, shape, kinds):
     assert rc.tobytes() == np.concatenate([v.reduced_costs for v in alone]).tobytes()
     assert changed.tolist() == [v.changes for v in alone]
     assert tie.tolist() == [v.tie for v in alone]
-    queue = iter(newcomers)
-    est = empirical_violation_probability(
-        lp, sol, lambda rng: next(queue), len(newcomers), rng, allow_flagged=True
-    )
+    c, d, A, starts = oracle.stack(newcomers)
+    est = empirical_violation_probability(lp, sol, c, d, A, starts=starts, allow_flagged=True)
     assert (est.changes, est.ties) == (sum(changed), sum(tie))
 
 
@@ -343,30 +325,24 @@ class TestCertificateMatchesResolve:
 class TestEmpiricalViolationProbability:
     def test_constant_changer_gives_one(self, toy):
         lp, sol = toy
-        est = empirical_violation_probability(
-            lp, sol, lambda rng: profitable_newcomer(), 25, np.random.default_rng(0)
-        )
+        stack = oracle.stack([profitable_newcomer()] * 25)
+        est = empirical_violation_probability(lp, sol, *stack)
         assert est.fraction == 1.0
         assert est.changes == 25
 
     def test_constant_keeper_gives_zero(self, toy):
         lp, sol = toy
-        est = empirical_violation_probability(
-            lp, sol, lambda rng: unprofitable_newcomer(), 25, np.random.default_rng(0)
-        )
+        stack = oracle.stack([unprofitable_newcomer()] * 25)
+        est = empirical_violation_probability(lp, sol, *stack)
         assert est.fraction == 0.0
 
     def test_counts_are_a_plain_fraction(self, toy):
         lp, sol = toy
-        toggle = [0]
-
-        def sampler(rng):
-            toggle[0] += 1
-            return profitable_newcomer() if toggle[0] % 100 < 37 else unprofitable_newcomer()
-
-        est = empirical_violation_probability(
-            lp, sol, sampler, 100, np.random.default_rng(0)
-        )
+        profiles = [
+            profitable_newcomer() if k % 100 < 37 else unprofitable_newcomer()
+            for k in range(1, 101)
+        ]
+        est = empirical_violation_probability(lp, sol, *oracle.stack(profiles))
         assert est.fraction == pytest.approx(0.37)
         assert float(est) == est.fraction
 
@@ -375,20 +351,16 @@ class TestEmpiricalViolationProbability:
         # no share of the draws: the audit step round(1 / audit_fraction) would
         # audit every draw at 1.5 and none at 3.0 or -0.1
         lp, sol = toy
+        stack = oracle.stack([profitable_newcomer()] * 100)
         with pytest.raises(ValueError, match="audit_fraction"):
-            empirical_violation_probability(
-                lp, sol, lambda rng: profitable_newcomer(), 100, np.random.default_rng(0),
-                audit_fraction=audit_fraction,
-            )
+            empirical_violation_probability(lp, sol, *stack, audit_fraction=audit_fraction)
 
     def test_full_audit_resolves_every_untied_draw(self, toy):
         lp, sol = toy
         clone = AgentProfile(n=1, c=[-1.0], d=[2.0], A=[[1.0]])  # a tie
         kinds = [profitable_newcomer(), unprofitable_newcomer(), clone]
-        queue = iter(kinds[i % 3] for i in range(100))
         est = empirical_violation_probability(
-            lp, sol, lambda rng: next(queue), 100, np.random.default_rng(0),
-            audit_fraction=1.0,
+            lp, sol, *oracle.stack([kinds[i % 3] for i in range(100)]), audit_fraction=1.0
         )
         assert (est.ties, est.audited, est.audit_mismatches) == (33, 67, 0)
 
@@ -398,21 +370,20 @@ class TestEmpiricalViolationProbability:
          (0.01, 100), (0.05, 20), (0.5, 2), (1.0, 1)],
     )
     def test_audit_subsample_takes_the_asked_share(self, toy, monkeypatch, audit_fraction, every):
-        # every draw changes the optimum, so no audited draw is skipped as a tie
+        # every draw changes the optimum, so no audited draw is skipped as a
+        # tie; draw i costs -5 - i, which names it in the rebuilt profile
         lp, sol = toy
         draws = 300
-        profiles = [profitable_newcomer() for _ in range(draws)]
-        queue = iter(profiles)
+        profiles = [AgentProfile(n=1, c=[-5.0 - i], d=[1.0], A=[[1.0]]) for i in range(draws)]
         picked = []
 
         def record(lp_, sol_, newcomer, changes):
-            picked.append(next(i for i, p in enumerate(profiles) if p is newcomer))
+            picked.append(int(-5.0 - newcomer.c[0]))
             return False
 
         monkeypatch.setattr(arrivals, "_audit_disagrees", record)
         est = empirical_violation_probability(
-            lp, sol, lambda rng: next(queue), draws, np.random.default_rng(0),
-            audit_fraction=audit_fraction,
+            lp, sol, *oracle.stack(profiles), audit_fraction=audit_fraction
         )
         assert est.audited == len(picked)
         assert abs(len(picked) - draws * audit_fraction) <= 1.0
@@ -427,7 +398,9 @@ class TestEmpiricalViolationProbability:
         want = np.flatnonzero(np.diff(level))
         assert arrivals._audit_draws(draws, audit_fraction).tolist() == want.tolist()
 
-    def test_batch_path_matches_loop_path_on_same_draws(self):
+    def test_cargo_arrays_match_their_stacked_profiles(self):
+        # the campaign's arrays at one column per newcomer, against the same
+        # draws as per-draw profiles stacked with explicit starts
         config = CargoConfig(
             m=4, W=6.0, V=0.004, demand=UniformDemand(1.0, 3.0), p_min=1.0, p_max=4.0,
             rho_min=900.0, rho_max=7000.0, seed=3,
@@ -439,11 +412,10 @@ class TestEmpiricalViolationProbability:
             AgentProfile(n=1, c=cs[i : i + 1], d=ds[i : i + 1], A=As[:, i : i + 1])
             for i in range(400)
         ]
-        est_loop, est_batch = (
-            empirical_violation_probability(
-                lp, sol, sampler, 400, np.random.default_rng(0), audit_fraction=0.05
-            )
-            for sampler in replay_samplers(newcomers)
+        est_batch = empirical_violation_probability(lp, sol, cs, ds, As, audit_fraction=0.05)
+        c, d, A, starts = oracle.stack(newcomers)
+        est_loop = empirical_violation_probability(
+            lp, sol, c, d, A, starts=starts, audit_fraction=0.05
         )
         assert est_batch.changes == est_loop.changes
         assert est_batch.ties == est_loop.ties
@@ -461,8 +433,7 @@ class TestEmpiricalViolationProbability:
 
         monkeypatch.setattr(arrivals, "solve_primal", spy)
         empirical_violation_probability(
-            lp, sol, lambda rng: profitable_newcomer(), 10, np.random.default_rng(0),
-            audit_fraction=0.5,
+            lp, sol, *oracle.stack([profitable_newcomer()] * 10), audit_fraction=0.5
         )
         assert len(starts) == 5
         assert all(s.basic == sol.partition.basic for s in starts)
@@ -473,21 +444,52 @@ class TestEmpiricalViolationProbability:
         real = arrivals._resolve_says_changed
         monkeypatch.setattr(arrivals, "_resolve_says_changed", lambda *a: not real(*a))
         est = empirical_violation_probability(
-            lp, sol, lambda rng: profitable_newcomer(), 10, np.random.default_rng(0),
-            audit_fraction=0.5,
+            lp, sol, *oracle.stack([profitable_newcomer()] * 10), audit_fraction=0.5
         )
         assert est.audited == 5
         assert est.audit_mismatches == 5
 
     def test_audit_subsample_runs_clean(self, toy):
         lp, sol = toy
-        rng_main = np.random.default_rng(42)
-
-        def sampler(rng):
-            return oracle.random_agent(rng_main, lp.p)
-
-        est = empirical_violation_probability(
-            lp, sol, sampler, 200, np.random.default_rng(0), audit_fraction=0.05
-        )
+        rng = np.random.default_rng(42)
+        newcomers = [oracle.random_agent(rng, lp.p) for _ in range(200)]
+        stack = oracle.stack(newcomers)
+        est = empirical_violation_probability(lp, sol, *stack, audit_fraction=0.05)
         assert est.audited > 0
         assert est.audit_mismatches == 0
+
+
+class TestMisSizedStacks:
+    """A stack whose parts disagree in size is refused: it is neither
+    broadcast over the columns nor folded into the last newcomer."""
+
+    def test_costs_and_limits_need_one_entry_per_column(self, toy):
+        lp, sol = toy
+        c, d, A, _ = oracle.stack([profitable_newcomer()] * 4)
+        for stack in [(c[:1], d, A), (c, d[:3], A), (c, d, np.ones((1, 7)))]:
+            with pytest.raises(ValueError, match="columns"):
+                empirical_violation_probability(lp, sol, *stack)
+
+    @pytest.mark.parametrize(
+        "starts",
+        [[], [1, 2], [0, 2, 2], [0, 3, 1], [0, 2, 4], np.array([0, 1, 5])],
+        ids=["empty", "late-first", "repeated", "descending", "at-end", "past-end"],
+    )
+    def test_starts_must_split_the_columns(self, toy, starts):
+        lp, sol = toy
+        c, d, A, _ = oracle.stack([profitable_newcomer()] * 4)
+        with pytest.raises(ValueError, match="starts"):
+            empirical_violation_probability(lp, sol, c, d, A, starts=starts)
+
+    def test_rows_must_match_the_base(self, toy):
+        lp, sol = toy
+        wide = AgentProfile(n=1, c=[-1.0], d=[1.0], A=[[1.0], [1.0]])
+        c, d, A, starts = oracle.stack([wide, wide])
+        for s in (starts, None):
+            with pytest.raises(ValueError, match="rows"):
+                empirical_violation_probability(lp, sol, c, d, A, starts=s)
+
+    def test_empty_stack_has_no_draw(self, toy):
+        lp, sol = toy
+        with pytest.raises(ValueError, match="at least one draw"):
+            empirical_violation_probability(lp, sol, np.empty(0), np.empty(0), np.empty((1, 0)))

@@ -26,6 +26,7 @@ from share_sense import (
     augment,
     build_problem,
     check_basic_solution,
+    count_active_primal,
     reduced_costs,
     solve_augmented,
     solve_primal,
@@ -638,6 +639,66 @@ class TestOracleAgreement:
         sol = solve_primal(lp)
         _, obj_ref, _ = oracle.brute_force_optimum(lp)
         assert sol.objective == pytest.approx(obj_ref, rel=1e-8)
+
+
+def permute_agents(lp, order):
+    """``lp`` with its agents' column blocks in ``order``, the slacks first."""
+    spans = [lp.agent_spans[i] for i in order]
+    cols = list(range(lp.n0)) + [j for lo, hi in spans for j in range(lo, hi)]
+    ends = np.cumsum([lp.n0] + [hi - lo for lo, hi in spans])
+    return AssembledLP(
+        A=lp.A[:, cols], b=lp.b, c=lp.c[cols], d=lp.d[cols], n0=lp.n0,
+        agent_spans=tuple(zip(ends[:-1].tolist(), ends[1:].tolist())),
+    )
+
+
+def same_objective(a, b):
+    return abs(a.objective - b.objective) <= 1e-9 * (1.0 + abs(a.objective))
+
+
+class TestMetamorphicRelations:
+    """Exact relations between the solves of an LP and of a transformed copy.
+    They need no oracle and no sampling noise, and they catch scaling and
+    tie-order faults that an objective comparison against an oracle misses."""
+
+    def test_power_of_two_row_scaling_is_divided_out_exactly(self):
+        # _row_scale divides row i of [A | b] by its max-norm, which scaling
+        # the row by 2^k multiplies by 2^k exactly
+        for seed in range(500):
+            rng = np.random.default_rng(seed)
+            lp = assemble(oracle.random_sharing_problem(rng, max_ell=14))
+            sol = solve_primal(lp)
+            f = np.ldexp(1.0, rng.integers(-20, 21, lp.p))
+            scaled = solve_primal(
+                AssembledLP(
+                    A=lp.A * f[:, None], b=lp.b * f, c=lp.c, d=lp.d, n0=lp.n0,
+                    agent_spans=lp.agent_spans,
+                )
+            )
+            assert scaled.x.tobytes() == sol.x.tobytes(), seed
+            assert (scaled.lam * f).tobytes() == sol.lam.tobytes(), seed
+
+    def test_agent_order_keeps_objective_and_active_count(self):
+        clean = 0
+        for seed in range(500):
+            rng = np.random.default_rng(seed)
+            lp = assemble(oracle.random_sharing_problem(rng, max_ell=14))
+            sol = solve_primal(lp)
+            permuted = solve_primal(permute_agents(lp, rng.permutation(lp.m)))
+            assert same_objective(sol, permuted), seed
+            if sol.clean:
+                clean += 1
+                assert count_active_primal(permuted) == count_active_primal(sol), seed
+        assert clean >= 450
+
+    @pytest.mark.parametrize("shape", ["random", "duplicate", "price_tie", "unlimited", "vertex"])
+    def test_agent_order_keeps_objective_on_flagged_shapes(self, shape):
+        # which flags survive a permutation is not pinned, only the optimum
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            lp, sol = oracle.flagged_or_clean_instance(rng, shape)
+            permuted = solve_primal(permute_agents(lp, rng.permutation(lp.m)))
+            assert same_objective(sol, permuted)
 
 
 class TestStructuralInvariants:
