@@ -75,6 +75,31 @@ def _check_rows(lp: AssembledLP, A: np.ndarray) -> None:
         )
 
 
+def _newcomer(c: np.ndarray, d: np.ndarray, A: np.ndarray, starts, i: int) -> AgentProfile:
+    """Newcomer i of a stack, as its own profile."""
+    lo = starts[i]
+    hi = starts[i + 1] if i + 1 < len(starts) else A.shape[1]
+    return AgentProfile(n=hi - lo, c=c[lo:hi], d=d[lo:hi], A=A[:, lo:hi])
+
+
+def _check_stack_values(c: np.ndarray, d: np.ndarray, A: np.ndarray, starts) -> None:
+    """``AgentProfile``'s value checks over a whole stack in one pass: finite
+    costs and usage, and limits > 0 or +inf. The first newcomer that fails is
+    built as a profile, so the error names it with the profile's message."""
+    ok = np.isfinite(c)
+    ok &= d > 0.0  # False on NaN, -inf and finite entries <= 0
+    for row in A:  # one row at a time keeps the temporaries to one bool per column
+        ok &= np.isfinite(row)
+    if ok.all():
+        return
+    col = int(np.argmin(ok))
+    i = int(np.searchsorted(starts, col, side="right")) - 1
+    try:
+        _newcomer(c, d, A, starts, i)
+    except ValueError as err:
+        raise ValueError(f"newcomer {i}: {err}") from None
+
+
 def _classify(lam: np.ndarray, c: np.ndarray, A: np.ndarray, starts):
     """Reduced costs of stacked newcomer columns and per-newcomer flags.
 
@@ -234,9 +259,11 @@ def empirical_violation_probability(
 
     Newcomer i owns the columns of ``c``, ``d`` and ``A`` from ``starts[i]``
     up to the next start; ``starts=None`` gives each column its own newcomer,
-    as the campaign's scalar arrivals have. All newcomers are classified
-    together by the certificate; re-solves run only on the audit subsample:
-    draw i wherever floor(i * audit_fraction) steps up, ties skipped.
+    as the campaign's scalar arrivals have. A value ``AgentProfile`` would
+    refuse raises its ``ValueError`` before any newcomer is screened. All
+    newcomers are classified together by the certificate; re-solves run only
+    on the audit subsample: draw i wherever floor(i * audit_fraction) steps
+    up, ties skipped.
     """
     if not 0.0 <= audit_fraction <= 1.0:
         raise ValueError(f"audit_fraction must lie in [0, 1], got {audit_fraction}")
@@ -252,6 +279,7 @@ def empirical_violation_probability(
     draws = len(starts)
     if draws < 1:
         raise ValueError("need at least one draw")
+    _check_stack_values(c, d, A, starts)
 
     _, changed, ties = _classify(solution.lam, c, A, starts)
 
@@ -259,10 +287,10 @@ def empirical_violation_probability(
     for i in _audit_draws(draws, audit_fraction):
         if ties[i]:
             continue
-        lo, hi = starts[i], starts[i + 1] if i + 1 < draws else ncols
-        newcomer = AgentProfile(n=hi - lo, c=c[lo:hi], d=d[lo:hi], A=A[:, lo:hi])
         audited += 1
-        mismatches += _audit_disagrees(lp, solution, newcomer, bool(changed[i]))
+        mismatches += _audit_disagrees(
+            lp, solution, _newcomer(c, d, A, starts, i), bool(changed[i])
+        )
     n_changes = int(changed.sum())
     return ViolationEstimate(
         fraction=n_changes / draws,

@@ -19,10 +19,10 @@ outward for sign changes, and bisect in t. Binomial log-coefficients are built
 by a cumulative recurrence in extended precision so that errors shared by the
 positive term and the dominant negative terms cancel in the ratio; this keeps
 the normalized residual at the reported roots below 1e-10 even at m = 1000.
-Coefficient rows are built, and evaluated in place over contiguous row ranges,
-in blocks of about 256 KB that stay in cache (the exponent rows are views of
-one vector); every operation runs along a whole row as an unblocked evaluation
-would, so the blocking changes no bit of any result.
+Coefficient rows are built in blocks of about 256 KB, and evaluated in place
+over contiguous row ranges in blocks of about 512 KB (the exponent rows are
+views of one vector); every operation runs along a whole row as an unblocked
+evaluation would, so the blocking changes no bit of any result.
 
 The negative-side terms of a row are shifted by their maximum before ``exp``.
 Shifted terms below log of the smallest normal float (about -708.4) skip
@@ -41,11 +41,23 @@ GIL inside the ufuncs and reductions that do the work. Every operation on a
 row is elementwise or a reduction along that whole row, so a row's results do
 not depend on which rows share its run: the tables have the same bits for any
 split and any CPU count. A run holds at least one evaluation block of rows,
-so a family of fewer than two blocks (m < 127) is solved in the caller's
+so a family of fewer than two blocks (m < 180) is solved in the caller's
 thread with no thread started. Two threads at every size made the m = 10,
 25 and 50 tables take 10-17, 12-23 and 17-29 ms instead of 7-11, 8-11 and
 12-16 ms on a 2-vCPU host (medians of 30 builds, three runs each): each call
 was too small to repay the GIL hand-offs.
+
+The two block sizes differ for that reason. Between numpy calls a run's
+thread holds the GIL, so the threads hand it over about once a call. With
+256 KB evaluation blocks the two runs of an m = 250 table on a 2-vCPU host
+were on a CPU for 0.81-0.83 of their wall time and the process made about
+2,800-2,900 voluntary context switches a table; with 512 KB blocks, 0.85-0.89
+and about 900, and the table took 0.85-0.86 of the time (medians of 16
+interleaved builds, three runs). The build runs once, before the threads
+start, and its longdouble ``cumsum`` temporaries are larger than its block:
+512 KB build blocks raised the traced memory peak of an m = 250 table from
+3.2 to 4.4 MiB, so the build keeps 256 KB. Larger evaluation blocks cost
+memory too: 768 KB ones read 3.8 MiB.
 """
 
 from __future__ import annotations
@@ -74,8 +86,18 @@ _U_CAP = 40.0 * math.log(2.0)
 _T_TOL = 1e-12  # absolute bisection width in t
 _RESIDUAL_TOL = 1e-10  # on the largest-term-normalized value
 _GOLDEN_ITERS = 48  # shrinks the golden-section u-bracket by 0.618^48, about 1e-10
-_BLOCK_BYTES = 1 << 18  # 256 KB row blocks of _PolyFamily work stay in L2
+# Row blocks: the build's longdouble cumsum temporaries would raise a table's
+# memory peak with its blocks, so it keeps 256 KB; the evaluation takes 512 KB,
+# as fewer and longer GIL-free numpy calls let row-run threads hand the GIL
+# over less often (see "Row runs")
+_BUILD_BLOCK_BYTES = 1 << 18
+_EVAL_BLOCK_BYTES = 1 << 19
 _EXP_FLOOR = math.log(np.finfo(float).smallest_normal)  # shifted terms below skip exp
+
+
+def _rows_per_block(m: int, block_bytes: int) -> int:
+    """Rows of the degree-4m family, 4m + 1 floats each, in one block."""
+    return max(1, block_bytes // (8 * (4 * m + 1)))
 
 
 class _PolyFamily:
@@ -99,10 +121,11 @@ class _PolyFamily:
         pref = np.full(n_i, math.log(beta / (6.0 * m)))
         pref[:m] = math.log(beta / (2.0 * m))
         pref[m] = 0.0
-        self._block_rows = max(1, _BLOCK_BYTES // self.logcoef.strides[0])
-        buf = np.empty((min(m + 1, self._block_rows), n_i))
-        for lo in range(0, m + 1, self._block_rows):
-            hi = min(lo + self._block_rows, m + 1)
+        self._block_rows = _rows_per_block(m, _EVAL_BLOCK_BYTES)
+        build_rows = _rows_per_block(m, _BUILD_BLOCK_BYTES)
+        buf = np.empty((min(m + 1, build_rows), n_i))
+        for lo in range(0, m + 1, build_rows):
+            hi = min(lo + build_rows, m + 1)
             diff, out, inc = self.expo[lo:hi], self.logcoef[lo:hi], buf[: hi - lo]
             np.maximum(diff, 1.0, out=inc)
             np.divide(K[lo:hi], inc, out=inc)
@@ -301,8 +324,7 @@ def _solve_family(fam: _PolyFamily):
     block, so a family of fewer than two blocks is solved in the caller's
     thread."""
     m = fam.m
-    rows_per_block = max(1, _BLOCK_BYTES // (8 * (4 * m + 1)))
-    n = max(1, min(_usable_cpus(), (m + 1) // rows_per_block))
+    n = max(1, min(_usable_cpus(), (m + 1) // _rows_per_block(m, _EVAL_BLOCK_BYTES)))
     if n == 1:
         return _solve_rows(fam, np.arange(m + 1))
     # imported here: concurrent.futures brings in logging, about 9 ms of

@@ -493,3 +493,41 @@ class TestMisSizedStacks:
         lp, sol = toy
         with pytest.raises(ValueError, match="at least one draw"):
             empirical_violation_probability(lp, sol, np.empty(0), np.empty(0), np.empty((1, 0)))
+
+
+@pytest.mark.parametrize("audit_fraction", [0.0, 1.0])
+class TestStackValues:
+    """A stack is held to ``AgentProfile``'s value checks before any newcomer
+    is screened, so a bad value raises at every audit fraction, not only when
+    its draw happens to be re-solved; the error names the first bad newcomer."""
+
+    def test_costs_must_be_finite(self, toy, audit_fraction):
+        lp, sol = toy
+        c, d = np.array([-5.0, -5.0, np.nan, -5.0]), np.array([1.0, 1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="newcomer 2: agent costs must be finite"):
+            empirical_violation_probability(
+                lp, sol, c, d, np.ones((1, 4)), audit_fraction=audit_fraction
+            )
+
+    def test_usage_must_be_finite(self, toy, audit_fraction):
+        lp, sol = toy
+        A = np.array([[1.0, 1.0, 1.0, np.inf]])
+        with pytest.raises(ValueError, match="newcomer 3: agent usage matrix must be finite"):
+            empirical_violation_probability(
+                lp, sol, np.full(4, -5.0), np.ones(4), A, audit_fraction=audit_fraction
+            )
+
+    def test_limits_must_be_positive_or_plus_inf(self, toy, audit_fraction):
+        lp, sol = toy
+        c, A = np.full(4, -5.0), np.ones((1, 4))
+        cases = [
+            ([1.0, -1.0, 1.0, 1.0], None, "newcomer 1: every finite upper limit"),
+            ([1.0, 1.0, np.nan, 1.0], None, "newcomer 2: upper limits must be > 0 or"),
+            # two-column newcomers: column 3 is the second newcomer's
+            ([np.inf, 1.0, 1.0, -np.inf], [0, 2], "newcomer 1: upper limits must be > 0 or"),
+        ]
+        for d, starts, match in cases:
+            with pytest.raises(ValueError, match=match):
+                empirical_violation_probability(
+                    lp, sol, c, np.array(d), A, starts=starts, audit_fraction=audit_fraction
+                )

@@ -1,6 +1,6 @@
 """The campaign's empirical change probability against its closed form, on
 the two shipped configs and on the two-row config that prices both budget
-rows.
+rows; and the closed form against the interval at m = 1000.
 
 ``lp_oracles.cargo_change_probability`` integrates the newcomer's price and
 density distributions exactly, given the base multipliers. It shares no code
@@ -132,3 +132,24 @@ def test_interval_misses_at_most_beta_share_at_large_beta():
     # flagged batches are outside the statement; the count means little if many are
     assert flagged <= n // 100
     assert below + above <= config.beta * (n - flagged)
+
+
+@pytest.mark.parametrize("V, volume_priced", [(300.0, 0), (60.0, 30)])
+def test_exact_change_probability_lies_in_interval_at_m1000(V, volume_priced):
+    # at m = 1000 the interval is about 0.16 wide and the smallest margin about
+    # 0.05, so an error of that size in the table, s* or lam leaves it; no
+    # arrivals are drawn, so there is no sampling noise
+    base = load_cargo_config(CONFIGS / "cargo_m100_uniform.json")
+    config = dataclasses.replace(base, m=1000, W=200000.0, V=V, trials=30)
+    table = oracle.cached_table(config.m, config.beta)
+    margins, priced = [], 0
+    for i in range(config.trials):
+        sol = solve_primal(assemble(build_problem(config, stream(config.seed, i, "agents"))))
+        assert sol.clean
+        lo, hi, _ = sensitivity_interval(sol, table)
+        exact = oracle.cargo_change_probability(sol.lam, config)
+        margins.append(min(exact - lo, hi - exact))
+        priced += bool(sol.lam[1] > 0.0)
+    print(f"\n[m=1000, V={V:g}] smallest margin {min(margins):.3f}, volume priced in {priced}")
+    assert min(margins) >= 0.0
+    assert priced == volume_priced

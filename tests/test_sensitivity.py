@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,7 +342,17 @@ class TestRowRuns:
             assert getattr(split, name).tobytes() == getattr(one, name).tobytes(), (m, beta, name)
 
     @pytest.mark.parametrize(
-        "m, cpus, runs", [(50, 2, 1), (100, 2, 1), (250, 1, 1), (250, 2, 2), (250, 64, 7)]
+        "m, cpus, runs",
+        [
+            (50, 2, 1),
+            (100, 2, 1),
+            # two 512 KB eval blocks start at m = 180 (91 and 90 rows a block)
+            (179, 2, 1),
+            (180, 2, 2),
+            (250, 1, 1),
+            (250, 2, 2),
+            (250, 64, 3),
+        ],
     )
     def test_run_count_follows_cpus_and_block_size(self, monkeypatch, m, cpus, runs):
         calls = []
@@ -361,6 +372,20 @@ class TestRowRuns:
         assert np.array_equal(rows, np.arange(m + 1))
         in_caller = [ident == threading.get_ident() for _, ident in calls]
         assert in_caller == [runs == 1] * runs
+
+    def test_two_run_build_peak_stays_under_its_bound(self, monkeypatch):
+        # perfbench reads the epsilon_tables op_peak_mb the same way (3.16 MiB
+        # with 256 KB eval blocks, 3.24 with 512 KB); larger blocks, or 512 KB
+        # build blocks (4.42), would break its 10% bound
+        monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
+        epsilon_table(250, 1e-6)  # the first threaded build imports concurrent.futures
+        tracemalloc.start()
+        try:
+            epsilon_table(250, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.40 * 2**20
 
     def test_bracket_failure_in_a_worker_is_raised_and_joined(self, monkeypatch):
         # with t capped at 1 the top rows (t_high > 1 at m = 250) find no sign
