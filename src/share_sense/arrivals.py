@@ -12,10 +12,15 @@ to the last bit.
 
 The independent check is a re-solve of the enlarged problem. Appending the
 newcomer's columns at their lower bound keeps the old optimal basis feasible,
-so ``solve_augmented(..., base=solution)`` restarts phase 2 from it; the
-campaign audits re-solve this way. Without ``base`` the re-solve starts cold
-from phase 1 and shares nothing with the base solve: that is the reference
-the acceptance and unit tests compare the certificate against.
+so ``solve_augmented(..., base=solution)`` restarts phase 2 from the
+solution's own basis arrays; the campaign audits re-solve this way. An audit
+does only the work that is new to it: ``augment`` checks just the appended
+block, and the audited newcomers are cut from a stack that
+``_check_stack_values`` has checked already. Start feasibility, the scaled
+residual and the degenerate/nonunique flags are still checked on every
+re-solve. Without ``base`` the re-solve starts cold from phase 1 and shares
+nothing with the base solve: that is the reference the acceptance and unit
+tests compare the certificate against.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from .lp_core import (
     RC_TOL,
     AgentProfile,
     AssembledLP,
-    BasisPartition,
     PrimalSolution,
     _any_per_segment,
+    _unchecked,
     solve_primal,
 )
 
@@ -75,11 +80,15 @@ def _check_rows(lp: AssembledLP, A: np.ndarray) -> None:
         )
 
 
-def _newcomer(c: np.ndarray, d: np.ndarray, A: np.ndarray, starts, i: int) -> AgentProfile:
-    """Newcomer i of a stack, as its own profile."""
-    lo = starts[i]
-    hi = starts[i + 1] if i + 1 < len(starts) else A.shape[1]
-    return AgentProfile(n=hi - lo, c=c[lo:hi], d=d[lo:hi], A=A[:, lo:hi])
+def _newcomer(
+    c: np.ndarray, d: np.ndarray, A: np.ndarray, starts, i: int, checked: bool = False
+) -> AgentProfile:
+    """Newcomer i of a stack, as its own profile. ``checked`` skips the
+    profile's checks, for a stack that passed ``_check_stack_values``."""
+    lo = int(starts[i])
+    hi = int(starts[i + 1]) if i + 1 < len(starts) else A.shape[1]
+    fields = dict(n=hi - lo, c=c[lo:hi], d=d[lo:hi], A=A[:, lo:hi])
+    return _unchecked(AgentProfile, **fields) if checked else AgentProfile(**fields)
 
 
 def _check_stack_values(c: np.ndarray, d: np.ndarray, A: np.ndarray, starts) -> None:
@@ -155,10 +164,21 @@ def changes_solution(
 
 
 def augment(lp: AssembledLP, newcomer: AgentProfile) -> AssembledLP:
-    """The LP with the newcomer's block appended after all existing agents."""
+    """The LP with the newcomer's block appended after all existing agents.
+
+    ``lp`` and ``newcomer`` passed their own checks when they were built, so
+    only what the append adds is checked: the newcomer's row count, and that
+    its span follows the last one (an LP without agent blocks must end at its
+    slacks)."""
     _check_rows(lp, newcomer.A)
     start = lp.ell
-    return AssembledLP(
+    if not lp.agent_spans and start != lp.n0:
+        raise ValueError(
+            f"an LP with no agent spans has {start - lp.n0} columns past its "
+            f"{lp.n0} slacks; a newcomer cannot follow them"
+        )
+    return _unchecked(
+        AssembledLP,
         A=np.concatenate([lp.A, newcomer.A], axis=1),
         b=lp.b,
         c=np.concatenate([lp.c, newcomer.c]),
@@ -174,19 +194,11 @@ def solve_augmented(
     """Re-solve with the newcomer included. The old optimum padded with zeros
     stays feasible, so the objective can only improve or stay equal.
 
-    With ``base`` (an optimum of ``lp``) the simplex starts from its basis,
-    the newcomer's columns at their lower bound; without it, from scratch.
+    With ``base`` (an optimum of ``lp``) the simplex starts from its basis
+    arrays, the newcomer's columns at their lower bound; without it, from
+    scratch.
     """
-    augmented = augment(lp, newcomer)
-    start = None
-    if base is not None:
-        part = base.partition
-        start = BasisPartition(
-            basic=part.basic,
-            at_lower=part.at_lower + tuple(range(lp.ell, augmented.ell)),
-            at_upper=part.at_upper,
-        )
-    return solve_primal(augmented, start=start)
+    return solve_primal(augment(lp, newcomer), start=base)
 
 
 def _resolve_says_changed(base: PrimalSolution, augmented: PrimalSolution) -> bool:
@@ -289,7 +301,7 @@ def empirical_violation_probability(
             continue
         audited += 1
         mismatches += _audit_disagrees(
-            lp, solution, _newcomer(c, d, A, starts, i), bool(changed[i])
+            lp, solution, _newcomer(c, d, A, starts, i, checked=True), bool(changed[i])
         )
     n_changes = int(changed.sum())
     return ViolationEstimate(

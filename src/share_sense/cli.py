@@ -3,9 +3,11 @@
 Subcommands: ``solve`` (optimal allocation for an instance file),
 ``sensitivity`` (allocation plus the change-probability interval), ``bounds``
 (the full interval table as CSV), and ``simulate`` (cargo campaign into an
-output directory). Errors leave a machine-readable JSON object on stderr and a
-nonzero exit code. A reader that closes stdout early, as ``| head`` does, is
-not an error.
+output directory). Errors leave a machine-readable JSON object on stderr and
+exit 1 for a typed ``ShareSenseError`` (the problem or the numerics), 2 for an
+input error (``ValueError`` or ``OSError``) and 3 for anything else, an
+internal fault. A reader that closes stdout early, as ``| head`` does, is not
+an error.
 """
 
 from __future__ import annotations
@@ -116,6 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc: BaseException, code: int) -> int:
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -128,17 +135,11 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 0
     except ShareSenseError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
+        return _report(exc, 1)
+    except (ValueError, OSError) as exc:
+        return _report(exc, 2)
     except Exception as exc:  # noqa: BLE001 - the CLI contract is JSON on stderr
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
+        return _report(exc, 3)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,12 @@ as genuine extended reals, never as large sentinel numbers.
 
 The solver is a dense bounded-variable revised simplex with a phase-1
 feasibility stage (artificial variables on rows not covered by a slack/crash
-column). A caller holding a feasible basis, such as the optimum of the same
-problem before a column was appended, can pass it as ``start`` and go straight
-to phase 2. It targets desk-scale problems: hundreds of variables, a handful of
-budget rows. Rows of ``A`` and ``b`` are rescaled to unit max-norm before
+column). A caller holding a feasible basis can pass it as ``start`` and go
+straight to phase 2: a ``BasisPartition`` of the columns, or a solution of the
+same problem before columns were appended, whose ``basis`` and ``status``
+arrays are copied with the new columns at lower. Every start is converted to
+those arrays and checked for feasibility once. It targets desk-scale problems:
+hundreds of variables, a handful of budget rows. Rows of ``A`` and ``b`` are rescaled to unit max-norm before
 pivoting because realistic instances mix magnitudes like 1 and 1/7000.
 
 Each phase inverts its starting basis once and keeps the inverse across
@@ -168,7 +170,9 @@ class AssembledLP:
 
     Column order is the slack block first, then agents in input order;
     ``agent_spans`` holds the half-open column range of each agent. The spans
-    are nonempty and consecutive, and the last one ends at the last column.
+    are empty (an LP with no agent blocks, such as a dual), or nonempty and
+    consecutive from column ``n0`` to the last column; ``0 <= n0 <= min(p,
+    ell)``. A violation raises ``ValueError`` naming the span.
     """
 
     A: np.ndarray
@@ -187,12 +191,23 @@ class AssembledLP:
             raise ValueError(
                 f"inconsistent LP dimensions: A{A.shape}, b{b.shape}, c{c.shape}, d{d.shape}"
             )
+        p, ell, n0 = b.size, c.size, int(self.n0)
+        if not 0 <= n0 <= min(p, ell):
+            raise ValueError(f"n0 must lie in [0, min(p, ell)]=[0, {min(p, ell)}], got {n0}")
+        spans = tuple((int(lo), int(hi)) for lo, hi in self.agent_spans)
+        end = n0
+        for span in spans:
+            if span[0] != end or span[1] <= end:
+                raise ValueError(f"agent span {span} must be nonempty and start at column {end}")
+            end = span[1]
+        if spans and end != ell:
+            raise ValueError(f"agent span {spans[-1]} must end at ell={ell}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n0", int(self.n0))
-        object.__setattr__(self, "agent_spans", tuple(map(tuple, self.agent_spans)))
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "agent_spans", spans)
 
     @property
     def p(self) -> int:
@@ -223,7 +238,12 @@ class BasisPartition:
 
 @dataclass(frozen=True, eq=False)
 class PrimalSolution:
-    """Optimal basic feasible solution with its partition and agent spans.
+    """Optimal basic feasible solution with its final basis and agent spans.
+
+    ``basis`` holds the basic column of each budget row and ``status`` one
+    entry per column: 0 at lower, 1 at upper, 2 basic. Both are the
+    simplex's own final arrays; a warm start from this solution copies them,
+    so no later solve changes them.
 
     ``degenerate`` is set when a basic variable sits at a bound (more active
     constraints than variables); ``nonunique`` when some non-basic reduced
@@ -239,7 +259,8 @@ class PrimalSolution:
 
     x: np.ndarray
     objective: float
-    partition: BasisPartition
+    basis: np.ndarray
+    status: np.ndarray
     agent_spans: tuple[tuple[int, int], ...]
     lam: np.ndarray
     degenerate: bool = False
@@ -248,6 +269,15 @@ class PrimalSolution:
     @property
     def clean(self) -> bool:
         return not (self.degenerate or self.nonunique)
+
+    @property
+    def partition(self) -> BasisPartition:
+        """The final basis as index tuples, built from ``basis`` and ``status``."""
+        return BasisPartition(
+            basic=tuple(self.basis.tolist()),
+            at_lower=tuple((self.status == _AT_LOWER).nonzero()[0].tolist()),
+            at_upper=tuple((self.status == _AT_UPPER).nonzero()[0].tolist()),
+        )
 
     @property
     def agent_index_map(self) -> tuple[np.ndarray, ...]:
@@ -262,6 +292,15 @@ def _any_per_segment(flags: np.ndarray, starts) -> np.ndarray:
     if len(starts) == flags.size:
         return flags
     return np.logical_or.reduceat(flags, starts)
+
+
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` without its ``__post_init__``: for field values that
+    passed those checks already, such as a checked LP with one checked block
+    appended."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def assemble(problem: SharingProblem) -> AssembledLP:
@@ -333,17 +372,19 @@ def _invert_basis(B: np.ndarray) -> np.ndarray:
         raise SingularBasis("basis matrix is singular") from exc
 
 
-def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, Binv=None):
+def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, warm=None):
     """Pivot until optimal, keeping the basis inverse across pivots.
 
-    The basis is inverted once on entry unless the caller passes its inverse
-    as ``Binv``. A basis change updates the inverse by rank 1 (the eta update
+    The basis is inverted once on entry unless the caller passes ``warm``:
+    its inverse and the nonbasic and basic values, as ``_start_basis``
+    returns them. A basis change updates the inverse by rank 1 (the eta update
     with the entering column ``Binv @ A[:, j]``), and every
     ``_REFACTOR_EVERY`` basis changes (every one with at most two rows, where
     that costs fewer calls) rebuilds it from ``A[:, basis]`` to shed the
     rounding the updates accumulate. A bound flip leaves the basis and its
     inverse unchanged, so the prices ``y = c_B Binv`` and reduced costs
-    ``r = c - y A`` would come out the same bits; they are kept. When pricing
+    ``r = c - y A`` would come out the same bits; they are kept, and only the
+    flipped column's pricing sign turns. When pricing
     on an updated inverse finds no entering column, the basis is re-inverted
     and priced again before
     optimality is declared, so the returned values always come from a fresh
@@ -353,97 +394,111 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, Binv=None):
 
     ``basis`` (row -> column) and ``vstat`` are updated in place. Returns the
     final (x, y, r): full primal vector, row multipliers, reduced costs.
+    ``solve_primal`` runs it, and the start check, under one ``np.errstate``
+    that silences divide and invalid warnings.
     """
     bland = False
     degen_run = 0
     changes = 0  # basis changes since Binv was last inverted
     y = None  # prices of the current basis and inverse; None once stale
+    if warm is None:
+        Binv = xB = None
+        xN = _nonbasic_values(vstat, d)
+    else:
+        Binv, xN, xB = warm
+    # xN is kept in step with vstat; xB holds until the next pivot
     t_zero, t_upper = np.empty(basis.size), np.empty(basis.size)  # step per row
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            if Binv is None:
-                Binv = _invert_basis(A[:, basis])
-                changes = 0
-            if y is None:
-                y = c[basis] @ Binv
-                r = c - y @ A
-
+    for _ in range(max_iter):
+        if Binv is None:
+            Binv = _invert_basis(A[:, basis])
+            changes = 0
+        if y is None:
+            y = c[basis] @ Binv
+            r = c - y @ A
             viol = r * _PRICE_SIGN[vstat]
-            if bland:
-                candidates = (viol > RC_TOL).nonzero()[0]
-                j = int(candidates[0]) if candidates.size else -1
-            else:
-                best = viol.max()
-                j = int((viol >= best * (1.0 - _TIE)).argmax()) if best > RC_TOL else -1
-            if j < 0:
-                if changes == 0:
-                    break
-                Binv = y = None
-                continue
 
-            xB = Binv @ (b - A @ _nonbasic_values(vstat, d))
-            sigma = 1.0 if vstat[j] == _AT_LOWER else -1.0
-            col = Binv @ A[:, j]
-            # change of x_B per unit step of the entering variable
-            delta = (-sigma) * col
-
-            dB = d[basis]
-            shrink = delta < -_PIV_TOL
-            grow = (delta > _PIV_TOL) & np.isfinite(dB)
-            # a row that cannot block keeps an infinite step
-            t_zero.fill(np.inf)
-            np.divide(xB, -delta, out=t_zero, where=shrink)
-            t_upper.fill(np.inf)
-            np.divide(dB - xB, delta, out=t_upper, where=grow)
-            t_rows = np.maximum(np.minimum(t_zero, t_upper), 0.0)
-            t_row_min = float(t_rows.min()) if t_rows.size else np.inf
-            t_own = float(d[j]) if math.isfinite(d[j]) else np.inf
-            t_step = min(t_row_min, t_own)
-
-            if not math.isfinite(t_step):
-                raise UnboundedProblem(
-                    f"entering variable {j} can improve the objective without bound"
-                )
-
-            # steps within rounding of the shortest one tie; a tied flip wins
-            reach = t_step + 1e-12 * (1.0 + t_step)
-            if t_own <= reach:
-                # bound flip: the entering variable traverses its whole range
-                vstat[j] = _AT_UPPER if vstat[j] == _AT_LOWER else _AT_LOWER
-            else:
-                near = (t_rows <= reach).nonzero()[0]
-                if near.size == 1:  # no tie to break
-                    row = int(near[0])
-                elif bland:
-                    row = int(near[basis[near].argmin()])
-                else:
-                    size = np.abs(delta[near])
-                    row = int(near[(size >= size.max() * (1.0 - _TIE)).argmax()])
-                leaving = int(basis[row])
-                hits_zero = t_zero[row] <= t_upper[row]
-                vstat[leaving] = _AT_LOWER if hits_zero else _AT_UPPER
-                basis[row] = j
-                vstat[j] = _BASIC
-                changes += 1
-                y = None
-                if changes == _REFACTOR_EVERY or basis.size <= 2:
-                    Binv = None
-                else:
-                    prow = Binv[row] / col[row]
-                    Binv -= col[:, None] @ prow[None, :]
-                    Binv[row] = prow
-
-            if t_step <= _DEGEN_STEP:
-                degen_run += 1
-                if degen_run >= _BLAND_TRIGGER:
-                    bland = True
-            else:
-                degen_run = 0
+        if bland:
+            candidates = (viol > RC_TOL).nonzero()[0]
+            j = int(candidates[0]) if candidates.size else -1
         else:
-            raise PivotLimit(f"simplex failed to terminate within {max_iter} pivots")
+            best = viol.max()
+            j = int((viol >= best * (1.0 - _TIE)).argmax()) if best > RC_TOL else -1
+        if j < 0:
+            if changes == 0:
+                break
+            Binv = y = None
+            continue
 
-    x = _nonbasic_values(vstat, d)
-    x[basis] = Binv @ (b - A @ x)
+        if xB is None:
+            xB = Binv @ (b - A @ xN)
+        sigma = 1.0 if vstat[j] == _AT_LOWER else -1.0
+        col = Binv @ A[:, j]
+        # change of x_B per unit step of the entering variable
+        delta = (-sigma) * col
+
+        dB = d[basis]
+        shrink = delta < -_PIV_TOL
+        grow = delta > _PIV_TOL
+        # a row that cannot block keeps an infinite step; xB is finite, so a
+        # row with dB = inf reads inf where it grows
+        t_zero.fill(np.inf)
+        np.divide(xB, -delta, out=t_zero, where=shrink)
+        t_upper.fill(np.inf)
+        np.divide(dB - xB, delta, out=t_upper, where=grow)
+        t_rows = np.maximum(np.minimum(t_zero, t_upper), 0.0)
+        t_row_min = float(t_rows.min()) if t_rows.size else np.inf
+        t_own = float(d[j]) if math.isfinite(d[j]) else np.inf
+        t_step = min(t_row_min, t_own)
+
+        if not math.isfinite(t_step):
+            raise UnboundedProblem(
+                f"entering variable {j} can improve the objective without bound"
+            )
+
+        # steps within rounding of the shortest one tie; a tied flip wins
+        reach = t_step + 1e-12 * (1.0 + t_step)
+        if t_own <= reach:
+            # bound flip: the entering variable traverses its whole range,
+            # and its pricing sign turns
+            vstat[j] = _AT_UPPER if vstat[j] == _AT_LOWER else _AT_LOWER
+            xN[j] = d[j] if vstat[j] == _AT_UPPER else 0.0
+            viol[j] = -viol[j]
+        else:
+            near = (t_rows <= reach).nonzero()[0]
+            if near.size == 1:  # no tie to break
+                row = int(near[0])
+            elif bland:
+                row = int(near[basis[near].argmin()])
+            else:
+                size = np.abs(delta[near])
+                row = int(near[(size >= size.max() * (1.0 - _TIE)).argmax()])
+            leaving = int(basis[row])
+            hits_zero = t_zero[row] <= t_upper[row]
+            vstat[leaving] = _AT_LOWER if hits_zero else _AT_UPPER
+            xN[leaving] = 0.0 if hits_zero else d[leaving]
+            basis[row] = j
+            vstat[j], xN[j] = _BASIC, 0.0
+            changes += 1
+            y = None
+            if changes == _REFACTOR_EVERY or basis.size <= 2:
+                Binv = None
+            else:
+                prow = Binv[row] / col[row]
+                Binv -= col[:, None] @ prow[None, :]
+                Binv[row] = prow
+        xB = None
+
+        if t_step <= _DEGEN_STEP:
+            degen_run += 1
+            if degen_run >= _BLAND_TRIGGER:
+                bland = True
+        else:
+            degen_run = 0
+    else:
+        raise PivotLimit(f"simplex failed to terminate within {max_iter} pivots")
+
+    x = xN
+    x[basis] = Binv @ (b - A @ xN) if xB is None else xB
     return x, y, r
 
 
@@ -509,36 +564,47 @@ def _phase1(A, b, d, max_iter: int):
     return basis, vstat
 
 
-def _start_basis(A, b, d, start: BasisPartition):
-    """Basis, statuses and basis inverse of a caller's partition; raise
-    InfeasibleStart unless its basic values lie within their bounds. With p
-    basic of ell indices in [0, ell), the sets partition the columns iff each
-    column gets a status."""
-    p, ell = A.shape
-    n_basic, n_lower = len(start.basic), len(start.at_lower)
-    indices = np.array([*start.basic, *start.at_lower, *start.at_upper], dtype=int)
-    vstat = np.full(ell, -1)
-    counted = n_basic == p and indices.size == ell
-    if counted and indices.min() >= 0 and indices.max() < ell:
-        vstat[indices[n_basic + n_lower :]] = _AT_UPPER
-        vstat[indices[n_basic : n_basic + n_lower]] = _AT_LOWER
-        vstat[indices[:n_basic]] = _BASIC
-    if vstat.min() < 0:
-        raise ValueError(
-            f"start must partition {ell} columns with {p} basic, got "
-            f"{n_basic} basic of {indices.size} indices"
-        )
-    basis = indices[:n_basic]
+def _start_arrays(start, p: int, ell: int):
+    """Basis and statuses of a warm start, as new arrays the simplex may
+    change. A ``PrimalSolution`` gives copies of its own arrays, and columns
+    past its last one start at lower. A ``BasisPartition`` is converted: with
+    p basic of ell indices in [0, ell), its sets partition the columns iff
+    each column gets a status."""
+    if isinstance(start, PrimalSolution):
+        n_basic, n_indices = start.basis.size, start.status.size
+        if n_basic == p and n_indices <= ell:
+            vstat = np.full(ell, _AT_LOWER)
+            vstat[:n_indices] = start.status
+            return start.basis.copy(), vstat
+    else:
+        n_basic, n_lower = len(start.basic), len(start.at_lower)
+        indices = np.array([*start.basic, *start.at_lower, *start.at_upper], dtype=int)
+        n_indices = indices.size
+        if n_basic == p and n_indices == ell and indices.min() >= 0 and indices.max() < ell:
+            vstat = np.full(ell, -1)
+            vstat[indices[n_basic + n_lower :]] = _AT_UPPER
+            vstat[indices[n_basic : n_basic + n_lower]] = _AT_LOWER
+            vstat[indices[:n_basic]] = _BASIC
+            if vstat.min() >= 0:
+                return indices[:n_basic], vstat
+    raise ValueError(
+        f"start must partition {ell} columns with {p} basic, got "
+        f"{n_basic} basic of {n_indices} indices"
+    )
+
+
+def _start_basis(A, b, d, basis, vstat):
+    """Basis inverse, nonbasic values and basic values of a warm start; raise
+    InfeasibleStart unless the basic values lie within their bounds."""
     Binv = _invert_basis(A[:, basis])
-    with np.errstate(invalid="ignore"):
-        xB = Binv @ (b - A @ _nonbasic_values(vstat, d))
-        # a column at upper d = inf makes x_B non-finite; inf - inf is NaN and fails
-        inside = xB.min() >= -FEAS_TOL and (xB - d[basis] <= FEAS_TOL).all()
-    if not inside:
+    xN = _nonbasic_values(vstat, d)
+    xB = Binv @ (b - A @ xN)
+    # a column at upper d = inf makes x_B non-finite; inf - inf is NaN and fails
+    if not (xB.min() >= -FEAS_TOL and (xB - d[basis] <= FEAS_TOL).all()):
         raise InfeasibleStart(
             f"start basis puts a basic variable outside its bounds: x_B = {xB}"
         )
-    return basis, vstat, Binv
+    return Binv, xN, xB
 
 
 def _row_scale(lp: AssembledLP) -> np.ndarray:
@@ -548,12 +614,16 @@ def _row_scale(lp: AssembledLP) -> np.ndarray:
     return np.where(scale > 0.0, scale, 1.0)
 
 
-def solve_primal(lp: AssembledLP, start: BasisPartition | None = None) -> PrimalSolution:
+def solve_primal(
+    lp: AssembledLP, start: BasisPartition | PrimalSolution | None = None
+) -> PrimalSolution:
     """Solve the assembled LP to an optimal basic feasible solution.
 
-    ``start`` replaces phase 1 by a known feasible partition of the columns;
-    phase 2 pivots on from there. A start whose basic values leave their
-    bounds raises InfeasibleStart: there is no fallback to phase 1.
+    ``start`` replaces phase 1 by a known feasible basis; phase 2 pivots on
+    from there. It is a partition of the columns, or a solution of an LP
+    whose columns are the first ones of ``lp`` (the rest start at lower, as
+    for an appended agent). A start whose basic values leave their bounds
+    raises InfeasibleStart: there is no fallback to phase 1.
 
     Degeneracy and non-uniqueness do not abort: they set flags on the returned
     solution so callers can discard the instance. Infeasibility and
@@ -568,34 +638,32 @@ def solve_primal(lp: AssembledLP, start: BasisPartition | None = None) -> Primal
     bs = lp.b / scale
 
     max_iter = 2000 + 60 * (ell + p)
-    if start is None:
-        basis, vstat = _phase1(As, bs, lp.d, max_iter)
-        Binv = None
-    else:
-        basis, vstat, Binv = _start_basis(As, bs, lp.d, start)
-    x, y, r = _bounded_simplex(As, bs, lp.c, lp.d, basis, vstat, max_iter, Binv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if start is None:
+            basis, vstat = _phase1(As, bs, lp.d, max_iter)
+            warm = None
+        else:
+            basis, vstat = _start_arrays(start, p, ell)
+            warm = _start_basis(As, bs, lp.d, basis, vstat)
+        x, y, r = _bounded_simplex(As, bs, lp.c, lp.d, basis, vstat, max_iter, warm)
 
     residual = float(np.abs(As @ x - bs).max(initial=0.0))
-    if residual > 10.0 * FEAS_TOL:
+    if not residual <= 10.0 * FEAS_TOL:  # a NaN fails too
         raise FeasibilityCheckFailed(
             f"solution failed the feasibility check: scaled residual {residual:.3e}"
         )
 
+    # an infinite or NaN entry of x fails the residual check, so no basic
+    # variable with d = inf reads as at its limit
     xb = x[basis]
-    db = lp.d[basis]
-    at_up = np.isfinite(db) & (xb >= db - ACT_TOL)
-    degenerate = bool(((xb <= ACT_TOL) | at_up).any())
+    degenerate = bool(((xb <= ACT_TOL) | (xb >= lp.d[basis] - ACT_TOL)).any())
     nonunique = bool(((np.abs(r) <= RC_TOL) & (vstat != _BASIC)).any())
 
-    partition = BasisPartition(
-        basic=tuple(basis.tolist()),
-        at_lower=tuple((vstat == _AT_LOWER).nonzero()[0].tolist()),
-        at_upper=tuple((vstat == _AT_UPPER).nonzero()[0].tolist()),
-    )
     return PrimalSolution(
         x=x,
         objective=float(lp.c @ x),
-        partition=partition,
+        basis=basis,
+        status=vstat,
         agent_spans=lp.agent_spans,
         lam=-y / scale,
         degenerate=degenerate,

@@ -100,7 +100,10 @@ def load_instance(source) -> SharingProblem:
             agents.append(AgentProfile(n=len(c), c=c, d=d, A=A))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"agent {i}: {exc}") from exc
-    return SharingProblem(p=data["p"], n0=data["n0"], b=data["b"], agents=tuple(agents))
+    try:
+        return SharingProblem(p=data["p"], n0=data["n0"], b=data["b"], agents=tuple(agents))
+    except (TypeError, OverflowError) as exc:  # e.g. p given as a list, or as 1e400
+        raise ValueError(f"instance: {exc}") from exc
 
 
 def problem_to_dict(problem: SharingProblem) -> dict:
@@ -122,12 +125,13 @@ def problem_to_dict(problem: SharingProblem) -> dict:
 def solution_to_dict(
     solution: PrimalSolution, dual: DualCertificate | None = None
 ) -> dict:
+    partition = solution.partition
     out = {
         "x": [float(v) for v in solution.x],
         "objective": solution.objective,
-        "basic": list(solution.partition.basic),
-        "at_lower": list(solution.partition.at_lower),
-        "at_upper": list(solution.partition.at_upper),
+        "basic": solution.basis.tolist(),
+        "at_lower": list(partition.at_lower),
+        "at_upper": list(partition.at_upper),
         "degenerate": solution.degenerate,
         "nonunique": solution.nonunique,
     }

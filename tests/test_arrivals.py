@@ -24,7 +24,7 @@ from share_sense import (
     solve_augmented,
     solve_primal,
 )
-from share_sense import arrivals, lp_core
+from share_sense import AssembledLP, BasisPartition, ShareSenseError, arrivals, lp_core
 from share_sense.lp_core import RC_TOL
 from share_sense.rng import stream
 from share_sense.serialize import load_cargo_config
@@ -150,6 +150,21 @@ class TestSolveAugmented:
         plus = augment(lp, profitable_newcomer())
         assert plus.ell == lp.ell + 1
         assert plus.agent_spans[-1] == (lp.ell, lp.ell + 1)
+        assert plus.A.tobytes() == np.concatenate([lp.A, [[1.0]]], axis=1).tobytes()
+        assert plus.c.tolist() == lp.c.tolist() + [-5.0]
+        assert plus.d.tolist() == lp.d.tolist() + [1.0]
+
+    def test_augment_checks_what_it_appends(self, toy):
+        lp, _ = toy
+        with pytest.raises(ValueError, match="2 rows, expected p=1"):
+            augment(lp, AgentProfile(n=1, c=[1.0], d=[1.0], A=[[1.0], [1.0]]))
+        # columns past the slacks that no span owns: a newcomer cannot follow
+        bare = AssembledLP(A=lp.A, b=lp.b, c=lp.c, d=lp.d, n0=lp.n0)
+        with pytest.raises(ValueError, match="no agent spans"):
+            augment(bare, profitable_newcomer())
+        # with no columns past the slacks, the newcomer is the first agent
+        slacks = AssembledLP(A=lp.A[:, :1], b=lp.b, c=lp.c[:1], d=lp.d[:1], n0=1)
+        assert augment(slacks, profitable_newcomer()).agent_spans == ((1, 2),)
 
     def test_objective_never_worse(self, toy):
         lp, sol = toy
@@ -297,6 +312,92 @@ def test_single_screen_matches_stacked_on_cargo_base():
     assert tie.tolist() == [v.tie for v in alone]
 
 
+def old_partition_tuples(sol):
+    """The index tuples solve_primal built before it kept the basis arrays:
+    the basis in row order, then each status's columns in ascending order."""
+    status = sol.status.tolist()
+    return (
+        tuple(sol.basis.tolist()),
+        tuple(j for j, s in enumerate(status) if s == lp_core._AT_LOWER),
+        tuple(j for j, s in enumerate(status) if s == lp_core._AT_UPPER),
+    )
+
+
+def solve_bits(sol):
+    part = sol.partition
+    assert (part.basic, part.at_lower, part.at_upper) == old_partition_tuples(sol)
+    return (
+        sol.x.tobytes(), sol.objective.hex(), sol.lam.tobytes(),
+        (part.basic, part.at_lower, part.at_upper), sol.degenerate, sol.nonunique,
+    )
+
+
+def padded_start(lp, sol, newcomer):
+    """The base partition with the newcomer's columns at lower, as index sets."""
+    part = sol.partition
+    return BasisPartition(
+        basic=part.basic,
+        at_lower=part.at_lower + tuple(range(lp.ell, lp.ell + newcomer.n)),
+        at_upper=part.at_upper,
+    )
+
+
+class TestAuditPath:
+    """The audit re-solve restarts from the base solution's arrays. It must
+    take the same pivots as a start from the padded partition and return
+    the same bits, and leave the base solution's arrays as they were."""
+
+    def assert_matches_partition_start(self, lp, sol, newcomer):
+        basis, status = sol.basis.copy(), sol.status.copy()
+        try:
+            audit = solve_bits(solve_augmented(lp, newcomer, base=sol))
+        except ShareSenseError as err:
+            audit = type(err)
+        try:
+            start = padded_start(lp, sol, newcomer)
+            reference = solve_bits(solve_primal(augment(lp, newcomer), start=start))
+        except ShareSenseError as err:
+            reference = type(err)
+        assert audit == reference
+        assert sol.basis.tobytes() == basis.tobytes()
+        assert sol.status.tobytes() == status.tobytes()
+
+    @pytest.mark.parametrize(
+        "name", ["cargo_m100_uniform", "cargo_m200_gaussian", "cargo_m100_two_row"]
+    )
+    def test_cargo_bases_at_m100(self, name):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        config = dataclasses.replace(load_cargo_config(configs / f"{name}.json"), m=100)
+        for trial in range(4):
+            lp = assemble(build_problem(config, stream(config.seed, trial, "agents")))
+            sol = solve_primal(lp)
+            solve_bits(sol)
+            c, d, A = CargoArrivalSampler(config).sample_batch(
+                40, stream(config.seed, trial, "arrivals")
+            )
+            for i in range(40):
+                newcomer = AgentProfile(n=1, c=c[i : i + 1], d=d[i : i + 1], A=A[:, i : i + 1])
+                self.assert_matches_partition_start(lp, sol, newcomer)
+
+    @pytest.mark.parametrize("shape", ["random", "duplicate", "vertex", "price_tie", "unlimited"])
+    def test_flagged_or_clean_shapes(self, shape):
+        rng = np.random.default_rng(7100)
+        for _ in range(25):
+            lp, sol = oracle.flagged_or_clean_instance(rng, shape)
+            solve_bits(sol)
+            for kind in ["random", "tie", "wide"]:
+                newcomer = warm_test_newcomer(rng, lp, sol, kind)
+                self.assert_matches_partition_start(lp, sol, newcomer)
+
+    def test_audit_builds_no_tuples(self, monkeypatch):
+        # the start and the result stay arrays; only a caller asks for tuples
+        lp = assemble(toy_problem())
+        sol = solve_primal(lp)
+        monkeypatch.setattr(lp_core, "BasisPartition", None)
+        plus = solve_augmented(lp, profitable_newcomer(), base=sol)
+        assert_allclose(plus.x, [0.0, 2.0, 0.0, 1.0], atol=1e-9)
+
+
 class TestCertificateMatchesResolve:
     @pytest.mark.parametrize("seed", range(5))
     def test_agreement_campaign(self, seed):
@@ -424,20 +525,20 @@ class TestEmpiricalViolationProbability:
 
     def test_audit_resolves_warm_from_the_base(self, toy, monkeypatch):
         lp, sol = toy
-        starts = []
+        calls = []
         real = arrivals.solve_primal
 
         def spy(lp_, start=None):
-            starts.append(start)
+            calls.append((lp_.ell, start))
             return real(lp_, start=start)
 
         monkeypatch.setattr(arrivals, "solve_primal", spy)
         empirical_violation_probability(
             lp, sol, *oracle.stack([profitable_newcomer()] * 10), audit_fraction=0.5
         )
-        assert len(starts) == 5
-        assert all(s.basic == sol.partition.basic for s in starts)
-        assert all(s.at_lower == sol.partition.at_lower + (lp.ell,) for s in starts)
+        # the base solution itself is the start of each one-column-wider LP
+        assert len(calls) == 5
+        assert all(ell == lp.ell + 1 and start is sol for ell, start in calls)
 
     def test_audit_counts_a_disagreeing_resolve(self, toy, monkeypatch):
         lp, sol = toy

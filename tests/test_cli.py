@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import lp_oracles as oracle
 from share_sense import AgentProfile, SharingProblem, assemble, solve_primal
+from share_sense import cli
 from share_sense.cli import main
 from share_sense.serialize import (
     load_cargo_config,
@@ -169,6 +170,21 @@ class TestSerialize:
         with pytest.raises(ValueError, match=match):
             load_instance(data)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"p": [1]}, r"instance: int\(\) argument must be"),
+            ({"n0": 1e400}, r"instance: cannot convert float infinity to integer"),
+            ({"b": {"x": 1}}, r"instance: float\(\) argument must be"),
+        ],
+        ids=["list-p", "overflowing-n0", "object-b"],
+    )
+    def test_instance_scalar_of_the_wrong_type_is_an_input_error(self, fields, match):
+        data = json.loads(json.dumps(TOY_INSTANCE))
+        data.update(fields)
+        with pytest.raises(ValueError, match=match):
+            load_instance(data)
+
     def test_instance_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -213,6 +229,15 @@ class TestCliSolve:
         assert main(["solve", "--instance", str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "instance is missing ['agents']"}
+
+    def test_internal_fault_exits_3(self, toy_instance_file, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_solve", crash)
+        assert main(["solve", "--instance", str(toy_instance_file)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "RuntimeError", "message": "boom"}
 
     def test_infeasible_instance_reports_error(self, tmp_path, capsys):
         bad = {

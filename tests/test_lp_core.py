@@ -176,6 +176,30 @@ class TestAssembledLPInvariants:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AssembledLP(A=A, b=b, c=c, d=d, n0=0)
 
+    @pytest.mark.parametrize(
+        "ell, n0, spans, message",
+        [
+            # column 2 would be nobody's, or count_active_primal's agent 0
+            (3, 1, ((1, 2),), "agent span (1, 2) must end at ell=3"),
+            (3, 1, ((2, 3), (1, 2)), "agent span (2, 3) must be nonempty and start at column 1"),
+            (3, 1, ((1, 1), (1, 3)), "agent span (1, 1) must be nonempty and start at column 1"),
+            (2, 5, (), "n0 must lie in [0, min(p, ell)]=[0, 1], got 5"),
+            (2, -1, (), "n0 must lie in [0, min(p, ell)]=[0, 1], got -1"),
+        ],
+    )
+    def test_spans_must_cover_the_agent_columns(self, ell, n0, spans, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AssembledLP(
+                A=np.ones((1, ell)), b=[1.0], c=np.zeros(ell), d=np.ones(ell), n0=n0,
+                agent_spans=spans,
+            )
+
+    def test_spans_are_empty_or_cover_the_agent_columns(self):
+        ones = dict(A=np.ones((1, 3)), b=[1.0], c=np.zeros(3), d=np.ones(3))
+        assert AssembledLP(**ones, n0=0, agent_spans=()).m == 0
+        lp = AssembledLP(**ones, n0=1, agent_spans=np.array([[1, 2], [2, 3]]))
+        assert lp.agent_spans == ((1, 2), (2, 3))
+
 
 class TestSolvePrimal:
     def test_two_agent_toy(self):
@@ -351,6 +375,45 @@ class TestWarmStart:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solve_primal(lp, start=start)
 
+    def test_solution_start_matches_its_partition(self):
+        rng = np.random.default_rng(760)
+        for _ in range(25):
+            lp = assemble(oracle.random_sharing_problem(rng))
+            sol = solve_primal(lp)
+            basis, status = sol.basis.copy(), sol.status.copy()
+            a, b = solve_primal(lp, start=sol), solve_primal(lp, start=sol.partition)
+            assert a.x.tobytes() == b.x.tobytes() == sol.x.tobytes()
+            assert a.basis.tolist() == b.basis.tolist() == basis.tolist()
+            assert a.status.tolist() == b.status.tolist() == status.tolist()
+            # the later solves worked on copies of the start's arrays
+            assert sol.basis.tolist() == basis.tolist()
+            assert sol.status.tolist() == status.tolist()
+
+    def test_solution_start_must_fit_the_lp(self):
+        lp = assemble(toy_problem())
+        wide = solve_primal(lp)
+        narrow = AssembledLP(
+            A=lp.A[:, :2], b=lp.b, c=lp.c[:2], d=lp.d[:2], n0=1, agent_spans=((1, 2),)
+        )
+        message = "start must partition 2 columns with 1 basic, got 1 basic of 3 indices"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_primal(narrow, start=wide)
+        two_rows = AssembledLP(A=np.eye(2), b=[1.0, 1.0], c=[0.0, 0.0], d=[np.inf, np.inf], n0=2)
+        message = "start must partition 2 columns with 2 basic, got 1 basic of 3 indices"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_primal(two_rows, start=wide)
+
+    def test_solution_start_outside_bounds_raises(self):
+        # the toy optimum has the cheap agent at its limit 2 and the other
+        # basic at 1; on a budget of 0.5 that basis puts the other at -1.5
+        lp = assemble(toy_problem())
+        sol = solve_primal(lp)
+        tighter = AssembledLP(
+            A=lp.A, b=[0.5], c=lp.c, d=lp.d, n0=lp.n0, agent_spans=lp.agent_spans
+        )
+        with pytest.raises(InfeasibleStart):
+            solve_primal(tighter, start=sol)
+
 
 def half_size_cargo_lp(seed):
     """An m=50 cargo instance on a half-size aircraft (W=10000, V=15)."""
@@ -466,6 +529,20 @@ class TestTypedFailures:
 
         monkeypatch.setattr(lp_core, "_bounded_simplex", drifting)
         with pytest.raises(FeasibilityCheckFailed):
+            solve_primal(assemble(toy_problem()))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_feasibility_check_fails_a_non_finite_x(self, monkeypatch, bad):
+        # a NaN residual compares false with any tolerance; it must not pass
+        real = lp_core._bounded_simplex
+
+        def broken(*args):
+            x, y, r = real(*args)
+            x[-1] = bad
+            return x, y, r
+
+        monkeypatch.setattr(lp_core, "_bounded_simplex", broken)
+        with pytest.raises(FeasibilityCheckFailed, match="scaled residual (nan|inf)"):
             solve_primal(assemble(toy_problem()))
 
 
