@@ -141,8 +141,11 @@ class CargoArrivalSampler:
 
     def sample_batch(self, draws: int, rng: np.random.Generator):
         prices, rhos, demands = _draw_agents(self.config, rng, draws)
-        A = np.vstack([np.ones(draws), 1.0 / rhos])
-        return -prices, demands, A
+        # filled in place: a batch holds no temporary copy of its columns
+        A = np.empty((2, draws))
+        A[0] = 1.0
+        np.divide(1.0, rhos, out=A[1])
+        return np.negative(prices, out=prices), demands, A
 
 
 def build_problem(config: CargoConfig, rng: np.random.Generator) -> SharingProblem:
@@ -187,8 +190,7 @@ def run_trial(config: CargoConfig, trial_index: int, table: EpsilonTable) -> Tri
     if table.m != config.m:
         raise ValueError(f"table was built for m={table.m}, config has m={config.m}")
     agent_rng = rng_streams.stream(config.seed, trial_index, "agents")
-    problem = build_problem(config, agent_rng)
-    lp = assemble(problem)
+    lp = assemble(build_problem(config, agent_rng))  # the agent profiles are not kept
     solution = solve_primal(lp)
 
     s_star = count_active_primal(solution)

@@ -26,6 +26,13 @@ is only declared on a fresh inverse, so the returned solution comes from a
 fresh inverse of the final basis, and near-ties in pricing and in the ratio
 test go to the lowest index, so rounding in the updated inverse does not steer
 the pivots.
+
+``solve_appended`` re-solves a stack of LPs that differ only in the columns
+appended to one LP, each warm from that LP's solution, in one lock-step pivot
+loop over stacked arrays: one numpy call serves every LP of the batch. Each
+LP keeps every rule above and comes out to the bits ``solve_primal`` gives it
+alone. One LP runs faster through ``solve_primal``, so that stays the path
+for a single solve.
 """
 
 from __future__ import annotations
@@ -344,11 +351,18 @@ _DEGEN_STEP = 1e-11
 # exact arithmetic but not always in floating point, so a strict argmax would
 # let rounding (a fresh against an updated basis inverse) pick the pivot.
 _TIE = 1e-9
+_SINGULAR_DET = 1e-300  # a 1x1 or 2x2 basis with |det| below this is singular
 
 
 def _nonbasic_values(vstat: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Full-length x with non-basic entries at their bounds, basics at 0."""
     return np.where(vstat == _AT_UPPER, d, 0.0)
+
+
+def _adjugate_2x2(a, bb, cc, dd):
+    """Determinant and adjugate of [[a, bb], [cc, dd]], on floats or on
+    arrays of them: each entry rounds the same either way."""
+    return a * dd - bb * cc, [[dd, -bb], [-cc, a]]
 
 
 def _invert_basis(B: np.ndarray) -> np.ndarray:
@@ -357,15 +371,15 @@ def _invert_basis(B: np.ndarray) -> np.ndarray:
     p = B.shape[0]
     if p == 1:
         det = B[0, 0]
-        if abs(det) < 1e-300:
+        if abs(det) < _SINGULAR_DET:
             raise SingularBasis("1x1 basis is singular")
         return np.array([[1.0 / det]])
     if p == 2:
         (a, bb), (cc, dd) = B.tolist()  # floats round as numpy scalars do
-        det = a * dd - bb * cc
-        if abs(det) < 1e-300:
+        det, adj = _adjugate_2x2(a, bb, cc, dd)
+        if abs(det) < _SINGULAR_DET:
             raise SingularBasis("2x2 basis is singular")
-        return np.array([[dd, -bb], [-cc, a]]) / det
+        return np.array(adj) / det
     try:
         return np.linalg.inv(B)
     except np.linalg.LinAlgError as exc:
@@ -669,6 +683,271 @@ def solve_primal(
         degenerate=degenerate,
         nonunique=nonunique,
     )
+
+
+# --- lock-step re-solves of appended LPs -------------------------------------
+
+# Working set of one batch of ``solve_appended``. Each LP takes about
+# 8 * ell * (p + 4) bytes: its scaled (p, ell) block, its values, its pricing
+# row, and the solution it returns.
+_STACK_BYTES = 128 << 10
+_UFUNC_BUFFER = 512  # elements per numpy ufunc buffer in a batch
+
+
+def appended_batch(p: int, ell: int) -> int:
+    """LPs of p rows and ell columns per ``solve_appended`` call that keep its
+    working set within ``_STACK_BYTES``."""
+    return max(1, _STACK_BYTES // (8 * ell * (p + 4)))
+
+
+def _invert_stack(B: np.ndarray, lps: np.ndarray) -> np.ndarray:
+    """``_invert_basis`` over a stack of bases, each slice to the same bits:
+    the same closed forms for p <= 2, LAPACK's inverse of each slice above.
+    A singular slice raises SingularBasis naming its LP; ``lps`` holds the
+    stack position of each slice."""
+    p = B.shape[-1]
+    if p > 2:
+        try:
+            return np.linalg.inv(B)
+        except np.linalg.LinAlgError as exc:
+            for k, Bk in zip(lps.tolist(), B):
+                try:
+                    np.linalg.inv(Bk)
+                except np.linalg.LinAlgError:
+                    raise SingularBasis(f"LP {k} of the stack: basis matrix is singular") from exc
+            raise
+    # C order: numpy multiplies a slice in another order without BLAS, which
+    # rounds unlike the product of one LP
+    inv = np.empty(B.shape)
+    if p == 1:
+        det = B[:, 0, 0]
+        np.divide(1.0, B, out=inv)
+    else:
+        det, adj = _adjugate_2x2(B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1])
+        inv[:, 0, 0], inv[:, 0, 1] = adj[0]
+        inv[:, 1, 0], inv[:, 1, 1] = adj[1]
+        inv /= det[:, None, None]
+    bad = np.abs(det) < _SINGULAR_DET
+    if bad.any():
+        raise SingularBasis(f"LP {lps[bad.argmax()]} of the stack: {p}x{p} basis is singular")
+    return inv
+
+
+def _basic_values(As, bs, Binv, x, ax) -> np.ndarray:
+    """x_B = Binv (b - A x_N) of each LP of a stack, ``ax`` taking A x_N."""
+    np.matmul(As, x[:, :, None], out=ax)
+    return (Binv @ (bs[:, :, None] - ax))[:, :, 0]
+
+
+def _fail(error, failed: np.ndarray, message) -> None:
+    """Raise ``error`` for the first of the ``failed`` stack positions, if
+    any; ``message(k)`` describes the LP at position k."""
+    if failed.size:
+        k = int(failed[0])
+        raise error(f"LP {k} of the stack: {message(k)}")
+
+
+def solve_appended(
+    lp: AssembledLP, c: np.ndarray, d: np.ndarray, A: np.ndarray, base: PrimalSolution
+) -> list[PrimalSolution]:
+    """Re-solve K copies of ``lp``, copy k with the n columns ``c[k]``,
+    ``d[k]`` and ``A[k]`` appended (shapes (K, n), (K, n) and (K, p, n)),
+    each warm from ``base``, a solution of ``lp``, in one lock-step loop.
+
+    Copy k comes out to the bits ``solve_primal`` gives it alone with
+    ``start=base``: the same row scaling, start check, pivot rules, inverse
+    updates, final checks and flags. Each copy keeps its own scaled block,
+    basis, inverse, statuses and values; the costs and limits of the old
+    columns are shared. Every iteration prices every copy, because a copy
+    whose basis and inverse stand prices to the same bits (so a finished copy
+    stays finished), and pivots the copies that have an entering column,
+    each by its own ties, Bland switch and refactorization count. Products
+    are stacked ``matmul`` calls, which round each slice as one LP's product
+    does; a plain gemm over the stack would not. A failure raises the typed
+    error of ``solve_primal``, naming the copy by its position in the stack.
+
+    Built for many small LPs: one LP is solved faster by ``solve_primal``.
+    """
+    # a broadcast into a slice of the batch's arrays is buffered, at numpy's
+    # default size a buffer of 64 KB
+    bufsize = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _solve_appended(lp, c, d, A, base)
+    finally:
+        np.setbufsize(bufsize)
+
+
+def _solve_appended(lp, c, d, A, base):
+    """``solve_appended``'s loop and checks, in its errstate and buffer size."""
+    K, p, n = A.shape
+    ell0, ell = lp.ell, lp.ell + n
+    lps = np.arange(K)
+    # shared costs and limits: column j >= ell0 of copy k is entry j + k * n
+    c_all = np.concatenate([lp.c, c.ravel()])
+    d_all = np.concatenate([lp.d, d.ravel()])
+    # _row_scale of each enlarged LP; a max is exact in any order
+    scale = np.maximum(np.abs(lp.A).max(axis=1, initial=0.0), np.abs(A).max(axis=2, initial=0.0))
+    scale = np.maximum(scale, np.abs(lp.b))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    As = np.empty((K, p, ell))
+    np.divide(lp.A, scale[:, :, None], out=As[:, :, :ell0])
+    np.divide(A, scale[:, :, None], out=As[:, :, ell0:])
+    bs = lp.b / scale
+
+    basis1, vstat1 = _start_arrays(base, p, ell)
+    basis = np.repeat(basis1[None], K, axis=0)
+    cB, dB = np.repeat(c_all[basis1][None], K, axis=0), np.repeat(d_all[basis1][None], K, axis=0)
+    vstat = np.empty((K, ell), dtype=np.int8)
+    vstat[:] = vstat1
+    x = np.zeros((K, ell))  # nonbasic values, basics at 0, as xN
+    x[:, :ell0] = _nonbasic_values(vstat1[:ell0], lp.d)
+    ax = np.empty((K, p, 1))  # A x of each copy
+    y = np.empty((K, 1, p))
+    viol = np.empty((K, ell))  # reduced costs, then their pricing values
+
+    max_iter = 2000 + 60 * (ell + p)
+    Binv = _invert_stack(As[:, :, basis1], lps)
+    xB = _basic_values(As, bs, Binv, x, ax)
+    _fail(
+        InfeasibleStart,
+        np.flatnonzero(~((xB.min(axis=1) >= -FEAS_TOL) & (xB - dB <= FEAS_TOL).all(axis=1))),
+        lambda k: f"start basis puts a basic variable outside its bounds: x_B = {xB[k]}",
+    )
+
+    done = np.zeros(K, dtype=bool)
+    stale = np.zeros(K, dtype=bool)  # the inverse must be rebuilt
+    bland = np.zeros(K, dtype=bool)
+    changes = np.zeros(K, dtype=int)  # basis changes since the last inversion
+    degen_run = np.zeros(K, dtype=int)
+    for _ in range(max_iter):
+        if stale.any():
+            s = stale.nonzero()[0]
+            B = As[s[:, None, None], np.arange(p)[:, None], basis[s, None, :]]
+            Binv[s] = _invert_stack(B, s)
+            stale[s], changes[s] = False, 0
+        np.matmul(cB[:, None, :], Binv, out=y)
+        np.matmul(y, As, out=viol[:, None, :])
+        np.subtract(lp.c, viol[:, :ell0], out=viol[:, :ell0])
+        np.subtract(c, viol[:, ell0:], out=viol[:, ell0:])
+        np.multiply(viol, -1.0, out=viol, where=vstat == _AT_LOWER)
+        np.multiply(viol, 0.0, out=viol, where=vstat == _BASIC)
+
+        best = viol.max(axis=1)
+        j = (viol >= (best * (1.0 - _TIE))[:, None]).argmax(axis=1)
+        j[~(best > RC_TOL)] = -1
+        if bland.any():
+            candidates = viol > RC_TOL
+            j_bland = np.where(candidates.any(axis=1), candidates.argmax(axis=1), -1)
+            j = np.where(bland, j_bland, j)
+        priced_out = ~done & (j < 0)
+        done |= priced_out & (changes == 0)
+        stale |= priced_out & (changes > 0)  # price again on a fresh inverse
+        m = (~done & (j >= 0)).nonzero()[0]
+        if m.size == 0:
+            if done.all():
+                break
+            continue
+
+        # ratio test of the pivoting copies m, entering column jm each
+        jm = j[m]
+        xB = _basic_values(As, bs, Binv, x, ax)[m]
+        sigma = np.where(vstat[m, jm] == _AT_LOWER, 1.0, -1.0)
+        col = (Binv[m] @ As[m, :, jm][:, :, None])[:, :, 0]
+        delta = (-sigma)[:, None] * col
+        dBm = dB[m]
+        t_zero = np.full_like(delta, np.inf)
+        np.divide(xB, -delta, out=t_zero, where=delta < -_PIV_TOL)
+        t_upper = np.full_like(delta, np.inf)
+        np.divide(dBm - xB, delta, out=t_upper, where=delta > _PIV_TOL)
+        t_rows = np.maximum(np.minimum(t_zero, t_upper), 0.0)
+        own = jm + np.where(jm >= ell0, n * m, 0)  # entering columns in c_all, d_all
+        dj = d_all[own]
+        t_own = np.where(np.isfinite(dj), dj, np.inf)
+        t_step = np.minimum(t_rows.min(axis=1), t_own)
+        _fail(
+            UnboundedProblem,
+            m[~np.isfinite(t_step)],
+            lambda k: f"entering variable {j[k]} can improve the objective without bound",
+        )
+
+        # steps within rounding of the shortest one tie; a tied flip wins
+        reach = t_step + 1e-12 * (1.0 + t_step)
+        flip = t_own <= reach
+        f, jf = m[flip], jm[flip]
+        vstat[f, jf] = np.where(vstat[f, jf] == _AT_LOWER, _AT_UPPER, _AT_LOWER)
+        x[f, jf] = np.where(vstat[f, jf] == _AT_UPPER, dj[flip], 0.0)
+
+        change = ~flip
+        g, jg = m[change], jm[change]
+        if g.size:
+            near = t_rows[change] <= reach[change, None]
+            size = np.where(near, np.abs(delta[change]), -np.inf)
+            row = (size >= size.max(axis=1, keepdims=True) * (1.0 - _TIE)).argmax(axis=1)
+            lowest = np.where(near, basis[g], ell).argmin(axis=1)
+            row = np.where(bland[g], lowest, row)
+            leaving = basis[g, row]
+            hits_zero = t_zero[change, row] <= t_upper[change, row]
+            vstat[g, leaving] = np.where(hits_zero, _AT_LOWER, _AT_UPPER)
+            x[g, leaving] = np.where(hits_zero, 0.0, dB[g, row])
+            basis[g, row] = jg
+            cB[g, row], dB[g, row] = c_all[own[change]], dj[change]
+            vstat[g, jg], x[g, jg] = _BASIC, 0.0
+            changes[g] += 1
+            refactor = (changes[g] == _REFACTOR_EVERY) | (p <= 2)
+            stale[g[refactor]] = True
+            e, col_e, row_e = g[~refactor], col[change][~refactor], row[~refactor]
+            if e.size:
+                prow = Binv[e, row_e] / col_e[np.arange(e.size), row_e][:, None]
+                Binv[e] -= col_e[:, :, None] @ prow[:, None, :]
+                Binv[e, row_e] = prow
+
+        degen = t_step <= _DEGEN_STEP
+        degen_run[m] = np.where(degen, degen_run[m] + 1, 0)
+        bland[m] |= degen_run[m] >= _BLAND_TRIGGER
+    else:
+        _fail(
+            PivotLimit,
+            np.flatnonzero(~done),
+            lambda k: f"simplex failed to terminate within {max_iter} pivots",
+        )
+
+    np.put_along_axis(x, basis, _basic_values(As, bs, Binv, x, ax), axis=1)
+
+    np.matmul(As, x[:, :, None], out=ax)
+    del As  # the largest array of the batch; the results do not need it
+    residual = np.abs(ax[:, :, 0] - bs).max(axis=1, initial=0.0)
+    _fail(
+        FeasibilityCheckFailed,
+        np.flatnonzero(~(residual <= 10.0 * FEAS_TOL)),
+        lambda k: f"solution failed the feasibility check: scaled residual {residual[k]:.3e}",
+    )
+    xb = np.take_along_axis(x, basis, axis=1)
+    degenerate = ((xb <= ACT_TOL) | (xb >= dB - ACT_TOL)).any(axis=1)
+    # |viol| is |r| off the basis, where the pricing sign is -1 or 1
+    nonunique = ((np.abs(viol) <= RC_TOL) & (vstat != _BASIC)).any(axis=1)
+    # the spent pricing rows hold each copy's full cost vector, then the
+    # statuses in the dtype a single solve returns
+    cost = viol
+    cost[:, :ell0], cost[:, ell0:] = lp.c, c
+    objective = (cost[:, None, :] @ x[:, :, None])[:, 0, 0].tolist()
+    status = viol.view(int)
+    status[:] = vstat
+    lam = -y[:, 0, :] / scale
+    spans = lp.agent_spans + ((ell0, ell),)
+    return [
+        PrimalSolution(
+            x=x[k],
+            objective=objective[k],
+            basis=basis[k],
+            status=status[k],
+            agent_spans=spans,
+            lam=lam[k],
+            degenerate=bool(degenerate[k]),
+            nonunique=bool(nonunique[k]),
+        )
+        for k in range(K)
+    ]
 
 
 # --- structural checks -------------------------------------------------------

@@ -14,6 +14,7 @@ from share_sense import (
     CargoArrivalSampler,
     CargoConfig,
     DegenerateBase,
+    InfeasibleStart,
     SharingProblem,
     UniformDemand,
     assemble,
@@ -398,6 +399,100 @@ class TestAuditPath:
         assert_allclose(plus.x, [0.0, 2.0, 0.0, 1.0], atol=1e-9)
 
 
+def stack_of(newcomers):
+    """Newcomers of one width as the stack ``solve_augmented`` re-solves:
+    arrays of shapes (K, n), (K, n) and (K, p, n)."""
+    return tuple(np.stack([getattr(nc, name) for nc in newcomers]) for name in "cdA")
+
+
+class TestStackedAudit:
+    """A stack of newcomers re-solved in lock step gives each LP the bits of
+    its one-newcomer warm re-solve: x, objective, lam, basis, status (dtype
+    included), partition and flags."""
+
+    def assert_matches_one_at_a_time(self, lp, sol, newcomers):
+        stacked = solve_augmented(lp, stack_of(newcomers), base=sol)
+        assert len(stacked) == len(newcomers)
+        for nc, plus in zip(newcomers, stacked):
+            alone = solve_augmented(lp, nc, base=sol)
+            assert solve_bits(plus) == solve_bits(alone)
+            assert plus.basis.tobytes() == alone.basis.tobytes()
+            assert plus.status.tobytes() == alone.status.tobytes()
+            assert plus.agent_spans == alone.agent_spans
+
+    @pytest.mark.parametrize(
+        "name", ["cargo_m100_uniform", "cargo_m200_gaussian", "cargo_m100_two_row"]
+    )
+    def test_cargo_bases_at_m100(self, name):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        config = dataclasses.replace(load_cargo_config(configs / f"{name}.json"), m=100)
+        for trial in range(4):
+            lp = assemble(build_problem(config, stream(config.seed, trial, "agents")))
+            sol = solve_primal(lp)
+            c, d, A = CargoArrivalSampler(config).sample_batch(
+                50, stream(config.seed, trial, "arrivals")
+            )
+            newcomers = [
+                AgentProfile(n=1, c=c[i : i + 1], d=d[i : i + 1], A=A[:, i : i + 1])
+                for i in range(50)
+            ]
+            self.assert_matches_one_at_a_time(lp, sol, newcomers)
+
+    def test_vector_family(self):
+        # p=3 rows update the inverse by rank 1 between refactorizations
+        from test_vector_family import N, base_problem, draw_agents
+
+        for trial in range(4):
+            lp = assemble(base_problem(stream(0, trial, "agents")))
+            sol = solve_primal(lp)
+            c, d, A = draw_agents(stream(0, trial, "arrivals"), 40)
+            newcomers = [
+                AgentProfile(n=N, c=c[j : j + N], d=d[j : j + N], A=A[:, j : j + N])
+                for j in range(0, N * 40, N)
+            ]
+            self.assert_matches_one_at_a_time(lp, sol, newcomers)
+
+    def test_toy_lp(self, toy):
+        lp, sol = toy
+        rng = np.random.default_rng(5)
+        newcomers = [profitable_newcomer(), unprofitable_newcomer()]
+        newcomers += [oracle.random_agent(rng, 1, allow_inf=False) for _ in range(30)]
+        for n in (1, 2):
+            self.assert_matches_one_at_a_time(lp, sol, [nc for nc in newcomers if nc.n == n])
+
+    @pytest.mark.parametrize("shape", ["random", "duplicate", "vertex", "price_tie", "unlimited"])
+    def test_flagged_or_clean_shapes(self, shape):
+        rng = np.random.default_rng(7200)
+        for _ in range(25):
+            lp, sol = oracle.flagged_or_clean_instance(rng, shape)
+            for kind in ["random", "tie", "wide"]:
+                newcomers = [warm_test_newcomer(rng, lp, sol, kind) for _ in range(8)]
+                for n in {nc.n for nc in newcomers}:
+                    self.assert_matches_one_at_a_time(
+                        lp, sol, [nc for nc in newcomers if nc.n == n]
+                    )
+
+    def test_infeasible_start_names_its_lp(self, toy):
+        # the stack's values are not checked again: a NaN usage makes that
+        # LP's start values NaN, which no bound admits
+        lp, sol = toy
+        c, d, A = stack_of([profitable_newcomer()] * 4)
+        A[2, 0, 0] = np.nan
+        with pytest.raises(InfeasibleStart, match="LP 2 of the stack"):
+            solve_augmented(lp, (c, d, A), base=sol)
+
+    def test_stack_needs_the_base_rows_and_a_base(self, toy):
+        lp, sol = toy
+        wide = AgentProfile(n=1, c=[-1.0], d=[1.0], A=[[1.0], [1.0]])
+        with pytest.raises(ValueError, match="rows"):
+            solve_augmented(lp, stack_of([wide] * 3), base=sol)
+        with pytest.raises(ValueError, match="base"):
+            solve_augmented(lp, stack_of([profitable_newcomer()] * 3))
+        c, d, A = stack_of([profitable_newcomer()] * 3)
+        with pytest.raises(ValueError, match="stack"):
+            solve_augmented(lp, (c[:2], d, A), base=sol)
+
+
 class TestCertificateMatchesResolve:
     @pytest.mark.parametrize("seed", range(5))
     def test_agreement_campaign(self, seed):
@@ -477,16 +572,18 @@ class TestEmpiricalViolationProbability:
         draws = 300
         profiles = [AgentProfile(n=1, c=[-5.0 - i], d=[1.0], A=[[1.0]]) for i in range(draws)]
         picked = []
+        real = arrivals.solve_augmented
 
-        def record(lp_, sol_, newcomer, changes):
-            picked.append(int(-5.0 - newcomer.c[0]))
-            return False
+        def record(lp_, stack, base=None):
+            picked.extend(int(-5.0 - ci) for ci in stack[0][:, 0].tolist())
+            return real(lp_, stack, base=base)
 
-        monkeypatch.setattr(arrivals, "_audit_disagrees", record)
+        monkeypatch.setattr(arrivals, "solve_augmented", record)
         est = empirical_violation_probability(
             lp, sol, *oracle.stack(profiles), audit_fraction=audit_fraction
         )
         assert est.audited == len(picked)
+        assert est.audit_mismatches == 0
         assert abs(len(picked) - draws * audit_fraction) <= 1.0
         if every:  # a share of 1/n audits every n-th draw, as the campaign's 0.01 does
             assert picked == list(range(0, draws, every))
@@ -526,19 +623,20 @@ class TestEmpiricalViolationProbability:
     def test_audit_resolves_warm_from_the_base(self, toy, monkeypatch):
         lp, sol = toy
         calls = []
-        real = arrivals.solve_primal
+        real = arrivals.solve_appended
 
-        def spy(lp_, start=None):
-            calls.append((lp_.ell, start))
-            return real(lp_, start=start)
+        def spy(lp_, c, d, A, base):
+            solved = real(lp_, c, d, A, base)
+            calls.append((lp_, base, [plus.x.size for plus in solved]))
+            return solved
 
-        monkeypatch.setattr(arrivals, "solve_primal", spy)
+        monkeypatch.setattr(arrivals, "solve_appended", spy)
         empirical_violation_probability(
             lp, sol, *oracle.stack([profitable_newcomer()] * 10), audit_fraction=0.5
         )
-        # the base solution itself is the start of each one-column-wider LP
-        assert len(calls) == 5
-        assert all(ell == lp.ell + 1 and start is sol for ell, start in calls)
+        # one stack of five one-column-wider LPs, each started from the base
+        # solution itself
+        assert [(lp_, base, ells) for lp_, base, ells in calls] == [(lp, sol, [lp.ell + 1] * 5)]
 
     def test_audit_counts_a_disagreeing_resolve(self, toy, monkeypatch):
         lp, sol = toy
