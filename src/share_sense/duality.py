@@ -61,6 +61,9 @@ def relaxation_values(lp: AssembledLP, nu: np.ndarray) -> np.ndarray:
     finite = np.isfinite(lp.d)
     contrib = np.where(finite, nu * np.where(finite, lp.d, 0.0), 0.0)
     contrib = np.where(~finite & (nu > 0.0), np.inf, contrib)
+    if lp.ell - lp.n0 == lp.m:
+        # one column per agent: a sum of one term, which turns -0.0 into 0.0
+        return contrib[lp.n0 :] + 0.0
     return np.array([contrib[start:stop].sum() for start, stop in lp.agent_spans])
 
 

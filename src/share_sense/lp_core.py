@@ -25,7 +25,8 @@ pivots, updating it by rank 1 on a basis change and rebuilding it every
 is only declared on a fresh inverse, so the returned solution comes from a
 fresh inverse of the final basis, and near-ties in pricing and in the ratio
 test go to the lowest index, so rounding in the updated inverse does not steer
-the pivots.
+the pivots. A run of bound flips, which keeps the basis, is made in one
+vectorized pass, with the pivots the loop would make one flip at a time.
 
 ``solve_appended`` re-solves a stack of LPs that differ only in the columns
 appended to one LP, each warm from that LP's solution, in one lock-step pivot
@@ -386,6 +387,66 @@ def _invert_basis(B: np.ndarray) -> np.ndarray:
         raise SingularBasis("basis matrix is singular") from exc
 
 
+def _flip_run(A, b, d, Binv, basis, vstat, xN, viol, limit: int):
+    """Make at once the bound flips that ``_bounded_simplex`` would make
+    next, at most ``limit``, and return how many it made.
+
+    A flip keeps the basis, its inverse and the prices, so until the next
+    basis change pricing takes the positive pricing values in descending
+    order, and each flip moves the basic values by its ``delta * d_j``. The
+    candidates' directions come from one product ``Binv @ A[:, order]`` and
+    their basic values from a running sum of those moves; both round unlike
+    the loop's own products. So the run stops before the first candidate
+    that pricing might not pick alone (the next one lies in its ``_TIE``
+    band, or it prices at most ``RC_TOL``), that has an infinite limit,
+    whose row steps, less a bound on that rounding, could fall within a
+    relative ``_TIE`` of its flip test, or whose step could be degenerate.
+    The loop then takes that candidate itself, with the same pivots.
+    """
+    pos = (viol > 0.0).nonzero()[0]
+    order = pos[np.argsort(-viol[pos], kind="stable")]
+    v = viol[order]
+    sure = (v > RC_TOL) & (d[order] < np.inf)
+    sure[:-1] &= v[1:] < v[:-1] * (1.0 - _TIE)  # candidate k + 1 outside k's band
+    n = min(int(np.append(sure, False).argmin()), limit)
+    if n == 0:
+        return 0
+
+    cand = order[:n]
+    dj = d[cand]
+    Ac = A[:, cand]
+    delta = (Binv @ Ac) * np.where(vstat[cand] == _AT_LOWER, -1.0, 1.0)
+    xBk = np.empty_like(delta)  # x_B before each flip
+    xBk[:, 0] = Binv @ (b - A @ xN)
+    np.cumsum(delta[:, :-1] * dj[:-1], axis=1, out=xBk[:, 1:])
+    xBk[:, 1:] += xBk[:, :1]
+    # allowances for rounding, in the magnitudes summed: `slack` for either
+    # product giving delta, `err` for either way of getting x_B. A sum of n
+    # products rounds by at most n eps / 2 of them, so the two ways differ
+    # by under 4 (p + ell) eps of them, a quarter of `rnd`
+    rnd = 16.0 * np.finfo(float).eps * sum(A.shape)
+    absBinv = np.abs(Binv)
+    slack = rnd * (absBinv @ np.abs(Ac))
+    err = np.empty_like(delta)
+    err[:, 0] = rnd * (absBinv @ (np.abs(b) + np.abs(A) @ xN))
+    np.cumsum(slack[:, :-1] * dj[:-1], axis=1, out=err[:, 1:])
+    err[:, 1:] += err[:, :1]
+    # lower bounds on the loop's row steps, over every row that may block
+    t_zero = np.full_like(delta, np.inf)
+    np.divide(xBk - err, slack - delta, out=t_zero, where=delta < slack - _PIV_TOL)
+    t_upper = np.full_like(delta, np.inf)
+    room = d[basis][:, None] - xBk - err
+    np.divide(room, delta + slack, out=t_upper, where=delta > _PIV_TOL - slack)
+    t_rows = np.maximum(np.minimum(t_zero, t_upper) * (1.0 - _TIE), 0.0).min(axis=0)
+    sure = (dj <= t_rows + 1e-12 * (1.0 + t_rows)) & (np.minimum(t_rows, dj) > _DEGEN_STEP)
+    n = int(np.append(sure, False).argmin())
+    j = cand[:n]
+    vstat[j] = np.where(vstat[j] == _AT_LOWER, _AT_UPPER, _AT_LOWER)
+    xN[j] = np.where(vstat[j] == _AT_UPPER, dj[:n], 0.0)
+    viol[j] = -viol[j]
+    return n
+
+
 def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, warm=None):
     """Pivot until optimal, keeping the basis inverse across pivots.
 
@@ -406,6 +467,14 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, warm=None):
     size, and within rounding in step length, are broken by position, so a
     fresh and an updated inverse take the same pivots.
 
+    After a bound flip outside Bland's rule, ``_flip_run`` makes the flips
+    that follow in one pass, up to the first one it cannot call clear of
+    rounding; the loop goes on from there with the same pivots. Each flip of
+    a run counts as one iteration toward ``max_iter``, so ``PivotLimit``
+    comes on the same iteration either way, and, as none of them is
+    degenerate, a run resets the count of degenerate pivots that engages
+    Bland's rule.
+
     ``basis`` (row -> column) and ``vstat`` are updated in place. Returns the
     final (x, y, r): full primal vector, row multipliers, reduced costs.
     ``solve_primal`` runs it, and the start check, under one ``np.errstate``
@@ -422,7 +491,9 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, warm=None):
         Binv, xN, xB = warm
     # xN is kept in step with vstat; xB holds until the next pivot
     t_zero, t_upper = np.empty(basis.size), np.empty(basis.size)  # step per row
-    for _ in range(max_iter):
+    it = 0
+    while it < max_iter:
+        it += 1
         if Binv is None:
             Binv = _invert_basis(A[:, basis])
             changes = 0
@@ -471,7 +542,8 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, warm=None):
 
         # steps within rounding of the shortest one tie; a tied flip wins
         reach = t_step + 1e-12 * (1.0 + t_step)
-        if t_own <= reach:
+        flip = t_own <= reach
+        if flip:
             # bound flip: the entering variable traverses its whole range,
             # and its pricing sign turns
             vstat[j] = _AT_UPPER if vstat[j] == _AT_LOWER else _AT_LOWER
@@ -508,6 +580,11 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, warm=None):
                 bland = True
         else:
             degen_run = 0
+        if flip and not bland:
+            run = _flip_run(A, b, d, Binv, basis, vstat, xN, viol, max_iter - it)
+            it += run
+            if run:
+                degen_run = 0
     else:
         raise PivotLimit(f"simplex failed to terminate within {max_iter} pivots")
 

@@ -70,7 +70,7 @@ import numpy as np
 
 from .duality import DualCertificate
 from .errors import BracketFailure, TableCheckFailed
-from .lp_core import ACT_TOL, AssembledLP, PrimalSolution, _any_per_segment
+from .lp_core import ACT_TOL, RC_TOL, AssembledLP, PrimalSolution, _any_per_segment
 
 __all__ = [
     "EpsilonTable",
@@ -448,13 +448,18 @@ def count_active_primal(solution: PrimalSolution) -> int:
 
 def count_active_dual(lp: AssembledLP, cert: DualCertificate) -> int:
     """Active-agent count read off the dual certificate: agents with a
-    positive relaxation value plus agents whose constraint is tight at the
-    multiplier (some coordinate gradient vanishing). The two sets are disjoint
-    because the boundary test requires the relaxation value to be zero."""
+    positive relaxation value or whose constraint is tight at the multiplier
+    (some coordinate gradient vanishing).
+
+    Tight means within ``RC_TOL``, the tolerance that defines a solution's
+    ``nonunique`` flag. So on a clean optimum an agent is tight exactly where
+    one of its columns is basic, and a column at its limit has a gradient
+    above ``RC_TOL``, hence a positive relaxation value: the count is the
+    primal one."""
     grad = -lp.c - cert.lam @ lp.A
     starts = [start for start, _ in lp.agent_spans]
-    tight = _any_per_segment(np.abs(grad) <= ACT_TOL, starts)
-    return int(np.count_nonzero((cert.h > ACT_TOL) | tight))
+    tight = _any_per_segment(np.abs(grad) <= RC_TOL, starts)
+    return int(np.count_nonzero((cert.h > 0.0) | tight))
 
 
 def sensitivity_interval(

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from share_sense import (
     solve_primal,
 )
 from share_sense import arrivals, cargo
+from share_sense.duality import closed_form_certificate
+from share_sense.lp_core import ACT_TOL, RC_TOL
 from share_sense.rng import stream
-from share_sense.sensitivity import count_active_primal, epsilon_table
+from share_sense.serialize import load_cargo_config
+from share_sense.sensitivity import count_active_dual, count_active_primal, epsilon_table
 
 
 def small_config(**overrides):
@@ -181,6 +185,23 @@ class TestRunTrial:
         monkeypatch.setattr(cargo, "count_active_dual", lambda *a: -1)
         with pytest.raises(CountMismatch, match="dual count -1"):
             run_trial(config, clean, table)
+
+    def test_counts_agree_beside_a_small_reduced_cost(self):
+        # agent 95 sits at lower with reduced cost 6.8e-8: above RC_TOL, so
+        # the solve is clean, but within ACT_TOL, where the dual count once
+        # called it tight and the trial raised CountMismatch
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        config = dataclasses.replace(
+            load_cargo_config(configs / "cargo_m100_uniform.json"), trials=1, seed=65_000_924
+        )
+        lp = assemble(build_problem(config, stream(config.seed, 0, "agents")))
+        sol = solve_primal(lp)
+        cert = closed_form_certificate(lp, sol)
+        j = lp.agent_spans[95][0]
+        rc = lp.c[j] + sol.lam @ lp.A[:, j]
+        assert sol.clean and sol.status[j] == 0 and RC_TOL < rc <= ACT_TOL
+        assert count_active_dual(lp, cert) == count_active_primal(sol) == 81
+        run_trial(config, 0, epsilon_table(config.m, config.beta))
 
 
 class TestRunCampaign:

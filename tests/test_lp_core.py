@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from share_sense import (
     solve_primal,
 )
 from share_sense import duality, lp_core
+from share_sense.rng import stream
+from share_sense.serialize import load_cargo_config
 
 
 def toy_problem():
@@ -423,10 +427,23 @@ def half_size_cargo_lp(seed):
     return assemble(build_problem(config, np.random.default_rng(seed)))
 
 
-def solve_three_ways(lp, refactor_every):
-    """The primal solve and the LP solves behind both explicit duals, with
-    the basis inverse rebuilt every ``refactor_every`` basis changes; each
-    as the bytes of x, the objective, the partition and the flags."""
+def fingerprint(sol):
+    return (
+        sol.x.tobytes(),
+        sol.objective,
+        sol.lam.tobytes(),
+        sol.basis.tobytes(),
+        sol.status.tobytes(),
+        sol.degenerate,
+        sol.nonunique,
+    )
+
+
+def solve_three_ways(lp, duals=True, **patches):
+    """The primal solve and, with ``duals``, the LP solves behind both
+    explicit duals, with the ``lp_core`` names in ``patches`` replaced; each
+    as the bytes of x, the objective, lam, the basis, the statuses and the
+    flags."""
     solved = []
 
     def recording(dual_lp, start=None):
@@ -434,15 +451,14 @@ def solve_three_ways(lp, refactor_every):
         return solved[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_core, "_REFACTOR_EVERY", refactor_every)
+        for name, value in patches.items():
+            mp.setattr(lp_core, name, value)
         mp.setattr(duality, "solve_primal", recording)
         solved.append(solve_primal(lp))
-        duality.solve_dual_full(lp)
-        duality.solve_dual_relaxation(lp)
-    return [
-        (s.x.tobytes(), s.objective, s.partition.as_sets(), s.degenerate, s.nonunique)
-        for s in solved
-    ]
+        if duals:
+            duality.solve_dual_full(lp)
+            duality.solve_dual_relaxation(lp)
+    return [fingerprint(s) for s in solved]
 
 
 class TestBasisInverseUpdate:
@@ -451,8 +467,7 @@ class TestBasisInverseUpdate:
     would: both must take the same pivots and return the same bits."""
 
     def assert_matches_reference(self, lp):
-        updated = solve_three_ways(lp, lp_core._REFACTOR_EVERY)
-        assert updated == solve_three_ways(lp, 1)
+        assert solve_three_ways(lp) == solve_three_ways(lp, _REFACTOR_EVERY=1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_batches(self, seed):
@@ -509,6 +524,135 @@ class TestBasisInverseUpdate:
         assert len(counts) == len(changes)
         for n, k in zip(counts, changes):
             assert n <= math.ceil(k / lp_core._REFACTOR_EVERY) + 2
+
+
+def shipped_config(name, **changes):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    return dataclasses.replace(load_cargo_config(configs / f"{name}.json"), **changes)
+
+
+class TestFlipRuns:
+    """A run of bound flips made in one pass against the loop making each
+    flip itself: the same pivots, so the same bits."""
+
+    def assert_same_bits(self, lp, duals=False, min_run_flips=0):
+        """Returns the flips each run made."""
+        run_flips = []
+        real_run = lp_core._flip_run
+
+        def counting_run(*args):
+            run_flips.append(real_run(*args))
+            return run_flips[-1]
+
+        with_runs = solve_three_ways(lp, duals, _flip_run=counting_run)
+        # a run that makes no flip leaves every flip to the loop
+        assert with_runs == solve_three_ways(lp, duals, _flip_run=lambda *args: 0)
+        assert sum(run_flips) >= min_run_flips
+        return run_flips
+
+    @pytest.mark.parametrize("m", [100, 200])
+    @pytest.mark.parametrize(
+        "name", ["cargo_m100_uniform", "cargo_m200_gaussian", "cargo_m100_two_row"]
+    )
+    def test_cargo_bases(self, name, m):
+        config = shipped_config(name, m=m)
+        for trial in range(3):
+            lp = assemble(build_problem(config, stream(config.seed, trial, "agents")))
+            # nearly every iteration of a cargo base solve is a flip: about
+            # 80 agents fill the aircraft
+            self.assert_same_bits(lp, min_run_flips=50)
+
+    def test_m1000_base(self):
+        config = shipped_config("cargo_m1000_uniform")
+        lp = assemble(build_problem(config, stream(config.seed, 0, "agents")))
+        self.assert_same_bits(lp, min_run_flips=500)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_m50_duals(self, seed):
+        self.assert_same_bits(half_size_cargo_lp(seed), duals=True)
+
+    def test_vector_family(self):
+        from test_vector_family import base_problem
+
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            self.assert_same_bits(assemble(base_problem(rng)), duals=True)
+
+    @pytest.mark.parametrize("shape", ["random", "duplicate", "price_tie", "unlimited", "vertex"])
+    def test_flagged_or_clean_shapes(self, shape):
+        rng = np.random.default_rng(5100)
+        for _ in range(10):
+            lp, _ = oracle.flagged_or_clean_instance(rng, shape)
+            self.assert_same_bits(lp, duals=True)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-10])
+    def test_run_ends_at_a_price_tie(self, gap):
+        # columns 1 and 3 price within _TIE of each other, 3 the higher, and
+        # the budget fits one of them: pricing takes the lower index, so
+        # column 1 flips and column 3 enters the basis at 0.5
+        prices = [3.0, 8.0, 3.0 * (1.0 + gap), 6.0, 1.0]
+        agents = tuple(AgentProfile(n=1, c=[-v], d=[1.0], A=[[1.0]]) for v in prices)
+        lp = assemble(SharingProblem(p=1, n0=1, b=[3.5], agents=agents))
+        sol = solve_primal(lp)
+        assert sol.x[[1, 2, 4, 5]].tolist() == [1.0, 1.0, 1.0, 0.0]
+        assert sol.x[3] == pytest.approx(0.5)
+        # after column 2 flips, column 4 flips in a run that ends before the
+        # tied pair
+        assert self.assert_same_bits(lp)[0] == 1
+
+    def test_run_ends_before_a_degenerate_flip(self):
+        # column 2's limit is below _DEGEN_STEP, so the loop counts its flip
+        # as degenerate: the run after column 1 leaves it to the loop, and
+        # the next run takes column 3
+        agents = tuple(
+            AgentProfile(n=1, c=[-v], d=[limit], A=[[1.0]])
+            for v, limit in [(5.0, 1.0), (4.0, 1e-12), (3.0, 1.0)]
+        )
+        lp = assemble(SharingProblem(p=1, n0=1, b=[10.0], agents=agents))
+        assert self.assert_same_bits(lp) == [0, 1]
+
+    def test_run_ends_where_its_running_sum_rounds_high(self):
+        # after columns 1 and 2 flip, the loop finds 1 - (0.18 + 0.81999999)
+        # of the budget left, about 1e-8, and the run's running sum
+        # (1 - 0.18) - 0.81999999, an ulp of 1 more: a relative 5e-9, beyond
+        # the _TIE band. Column 3's limit lies between the two flip
+        # thresholds, so the loop makes it basic, and the run must leave it
+        # to the loop.
+        left = 1.0 - (0.18 + 0.81999999)
+        limit = float(np.nextafter(left + 1e-12 * (1.0 + left), 1.0))
+        agents = tuple(
+            AgentProfile(n=1, c=[-v], d=[d], A=[[1.0]])
+            for v, d in [(10.0, 0.18), (9.0, 0.81999999), (8.0, limit), (7.0, 1.0)]
+        )
+        lp = assemble(SharingProblem(p=1, n0=1, b=[1.0], agents=agents))
+        assert self.assert_same_bits(lp)[0] == 1
+        assert solve_primal(lp).status.tolist() == [0, 1, 1, 2, 0]
+
+    def test_pivot_limit_on_the_same_iteration(self, monkeypatch):
+        config = shipped_config("cargo_m100_uniform")
+        lp = assemble(build_problem(config, stream(config.seed, 0, "agents")))
+
+        def outcomes():
+            out = []
+            for max_iter in range(1, 100):
+                basis = np.arange(lp.n0)  # the slacks, as the crash finds them
+                vstat = np.where(np.arange(lp.ell) < lp.n0, lp_core._BASIC, lp_core._AT_LOWER)
+                try:
+                    x, _, _ = lp_core._bounded_simplex(
+                        lp.A, lp.b, lp.c, lp.d, basis, vstat, max_iter
+                    )
+                    out.append(("x", x.tobytes()))
+                except PivotLimit:
+                    # the statuses the loop stopped at
+                    out.append(("limit", vstat.tobytes()))
+            return out
+
+        with_runs = outcomes()
+        monkeypatch.setattr(lp_core, "_flip_run", lambda *args: 0)
+        without = outcomes()
+        assert with_runs == without
+        # the limit binds for a while, then the solve completes
+        assert with_runs[0][0] == "limit" and with_runs[-1][0] == "x"
 
 
 class TestTypedFailures:
