@@ -16,7 +16,7 @@ so ``solve_augmented(..., base=solution)`` restarts phase 2 from the
 solution's own basis arrays. The campaign audits re-solve this way, many at
 once: ``empirical_violation_probability`` groups its audited draws by
 newcomer width and hands each group to ``solve_augmented`` as stacks of
-column slices (the stack ``_check_stack_values`` has checked), which
+column slices (the stack ``lp_core._check_stack`` has checked), which
 ``lp_core.solve_appended`` re-solves in one lock-step pivot loop per batch
 of ``lp_core.appended_batch`` LPs. Each re-solve gets the bits of its
 one-newcomer warm re-solve, and start feasibility, the scaled residual and
@@ -41,7 +41,9 @@ from .lp_core import (
     AssembledLP,
     PrimalSolution,
     _any_per_segment,
-    _unchecked,
+    _check_stack,
+    _set_fields,
+    _span,
     appended_batch,
     solve_appended,
     solve_primal,
@@ -81,35 +83,6 @@ def _check_base(solution: PrimalSolution, allow_flagged: bool) -> None:
 def _check_rows(lp: AssembledLP, rows: int) -> None:
     if rows != lp.p:
         raise ValueError(f"newcomer usage matrix has {rows} rows, expected p={lp.p}")
-
-
-def _span(starts, i: int, ncols: int) -> tuple[int, int]:
-    """The columns lo..hi of newcomer i in a stack of ``ncols`` columns."""
-    return int(starts[i]), int(starts[i + 1]) if i + 1 < len(starts) else ncols
-
-
-def _newcomer(c: np.ndarray, d: np.ndarray, A: np.ndarray, starts, i: int) -> AgentProfile:
-    """Newcomer i of a stack, as its own checked profile."""
-    lo, hi = _span(starts, i, A.shape[1])
-    return AgentProfile(n=hi - lo, c=c[lo:hi], d=d[lo:hi], A=A[:, lo:hi])
-
-
-def _check_stack_values(c: np.ndarray, d: np.ndarray, A: np.ndarray, starts) -> None:
-    """``AgentProfile``'s value checks over a whole stack in one pass: finite
-    costs and usage, and limits > 0 or +inf. The first newcomer that fails is
-    built as a profile, so the error names it with the profile's message."""
-    ok = np.isfinite(c)
-    ok &= d > 0.0  # False on NaN, -inf and finite entries <= 0
-    for row in A:  # one row at a time keeps the temporaries to one bool per column
-        ok &= np.isfinite(row)
-    if ok.all():
-        return
-    col = int(np.argmin(ok))
-    i = int(np.searchsorted(starts, col, side="right")) - 1
-    try:
-        _newcomer(c, d, A, starts, i)
-    except ValueError as err:
-        raise ValueError(f"newcomer {i}: {err}") from None
 
 
 def _classify(lam: np.ndarray, c: np.ndarray, A: np.ndarray, starts):
@@ -180,15 +153,12 @@ def _check_append(lp: AssembledLP, rows: int) -> None:
 
 def augment(lp: AssembledLP, newcomer: AgentProfile) -> AssembledLP:
     """The LP with the newcomer's block appended after all existing agents.
-
-    ``lp`` and ``newcomer`` passed their own checks when they were built, so
-    only what the append adds is checked: the newcomer's row count, and that
-    its span follows the last one (an LP without agent blocks must end at its
-    slacks)."""
+    Both passed their own checks when they were built, so only what the
+    append adds is checked (``_check_append``)."""
     _check_append(lp, newcomer.A.shape[0])
     start = lp.ell
-    return _unchecked(
-        AssembledLP,
+    return _set_fields(
+        object.__new__(AssembledLP),
         A=np.concatenate([lp.A, newcomer.A], axis=1),
         b=lp.b,
         c=np.concatenate([lp.c, newcomer.c]),
@@ -299,18 +269,10 @@ def empirical_violation_probability(
     if not 0.0 <= audit_fraction <= 1.0:
         raise ValueError(f"audit_fraction must lie in [0, 1], got {audit_fraction}")
     _check_base(solution, allow_flagged)
-    _check_rows(lp, A.shape[0])
-    ncols = A.shape[1]
-    if c.shape != (ncols,) or d.shape != (ncols,):
-        raise ValueError(f"newcomer stack has c{c.shape} and d{d.shape} for {ncols} columns")
-    if starts is None:
-        starts = range(ncols)  # one column each; a range allocates no array
-    elif not (len(starts) and starts[0] == 0 and starts[-1] < ncols and np.all(np.diff(starts) > 0)):
-        raise ValueError(f"starts must begin at 0 and ascend strictly below {ncols} columns")
-    draws = len(starts)
+    starts = _check_stack(c, d, A, starts, lp.p, "newcomer")
+    ncols, draws = A.shape[1], len(starts)
     if draws < 1:
         raise ValueError("need at least one draw")
-    _check_stack_values(c, d, A, starts)
 
     changed, ties = _classify(solution.lam, c, A, starts)[1:]
 

@@ -16,7 +16,8 @@ row never binds (its multiplier is 0 in all 200 trials); V = 6 m^3 in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from . import rng as rng_streams
 from .arrivals import empirical_violation_probability
 from .duality import closed_form_certificate
 from .errors import AuditMismatch, CountMismatch
-from .lp_core import AgentProfile, SharingProblem, assemble, solve_primal
+from .lp_core import SharingProblem, assemble, solve_primal
 from .sensitivity import (
     EpsilonTable,
     count_active_dual,
@@ -47,12 +48,26 @@ __all__ = [
 _AUDIT_FRACTION = 0.01  # share of a clean trial's arrivals re-solved as a check
 
 
+_DECLARED = {"int": numbers.Integral, "int | None": (numbers.Integral, type(None)), "float": numbers.Real}
+
+
+def _check_types(obj) -> None:
+    """ValueError naming the first field of ``obj`` whose value is not of the
+    type its annotation string declares; an int is a float here, a bool is
+    neither. Values are refused, never converted, so a config names its run."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, bool) or not isinstance(value, _DECLARED.get(f.type, object)):
+            raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UniformDemand:
     d_min: float
     d_max: float
 
     def __post_init__(self):
+        _check_types(self)
         if not 0.0 < self.d_min < self.d_max:
             raise ValueError("need 0 < d_min < d_max")
 
@@ -70,6 +85,7 @@ class TruncatedGaussianDemand:
     sigma2: float
 
     def __post_init__(self):
+        _check_types(self)
         if self.sigma2 <= 0.0:
             raise ValueError("need sigma2 > 0")
         if self.mu <= 0.0:
@@ -103,6 +119,7 @@ class CargoConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.m < 1:
             raise ValueError("need at least one agent per trial")
         if self.trials < 0:
@@ -123,24 +140,19 @@ class CargoConfig:
         return 50 * self.m if self.arrivals is None else self.arrivals
 
 
-def _draw_agents(config: CargoConfig, rng: np.random.Generator, size: int):
-    prices = rng.uniform(config.p_min, config.p_max, size=size)
-    rhos = rng.uniform(config.rho_min, config.rho_max, size=size)
-    demands = config.demand.sample(rng, size)
-    return prices, rhos, demands
-
-
 class CargoArrivalSampler:
-    """Arrival sampler bound to a config. ``sample_batch(draws, rng) -> (c, d, A)``
+    """Request sampler bound to a config. ``sample_batch(draws, rng) -> (c, d, A)``
     stacks one column per request: cost -price, demand cap and usage
-    (1, 1/density). ``run_trial`` draws the batch itself and screens it with
-    ``empirical_violation_probability`` at one column per newcomer."""
+    (1, 1/density). ``build_problem`` draws a trial's m agents with it, and
+    ``run_trial`` the arrivals it screens at one column per newcomer."""
 
     def __init__(self, config: CargoConfig):
         self.config = config
 
     def sample_batch(self, draws: int, rng: np.random.Generator):
-        prices, rhos, demands = _draw_agents(self.config, rng, draws)
+        prices = rng.uniform(self.config.p_min, self.config.p_max, size=draws)
+        rhos = rng.uniform(self.config.rho_min, self.config.rho_max, size=draws)
+        demands = self.config.demand.sample(rng, draws)
         # filled in place: a batch holds no temporary copy of its columns
         A = np.empty((2, draws))
         A[0] = 1.0
@@ -149,12 +161,9 @@ class CargoArrivalSampler:
 
 
 def build_problem(config: CargoConfig, rng: np.random.Generator) -> SharingProblem:
-    """One random batch of m requests under the aircraft's two budget rows."""
-    prices, rhos, demands = _draw_agents(config, rng, config.m)
-    agents = tuple(
-        AgentProfile(n=1, c=[-prices[i]], d=[demands[i]], A=np.array([[1.0], [1.0 / rhos[i]]]))
-        for i in range(config.m)
-    )
+    """One random batch of m requests under the aircraft's two budget rows:
+    the agents are drawn as newcomers are, one stacked column each."""
+    agents = CargoArrivalSampler(config).sample_batch(config.m, rng)
     return SharingProblem(p=2, n0=2, b=[config.W, config.V], agents=agents)
 
 

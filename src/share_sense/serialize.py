@@ -112,11 +112,7 @@ def problem_to_dict(problem: SharingProblem) -> dict:
         "n0": problem.n0,
         "b": [float(v) for v in problem.b],
         "agents": [
-            {
-                "c": [float(v) for v in ag.c],
-                "d": [_limit_to_json(v) for v in ag.d],
-                "A": [[float(v) for v in row] for row in ag.A],
-            }
+            {"c": ag.c.tolist(), "d": [_limit_to_json(v) for v in ag.d.tolist()], "A": ag.A.tolist()}
             for ag in problem.agents
         ],
     }

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from share_sense import (
+    AgentProfile,
     AuditMismatch,
     CargoArrivalSampler,
     CargoConfig,
@@ -74,6 +75,10 @@ class TestSampling:
             UniformDemand(5.0, 5.0)
         with pytest.raises(ValueError):
             TruncatedGaussianDemand(mu=1.0, sigma2=0.0)
+        with pytest.raises(ValueError, match="d_max must be of type float, got '5'"):
+            UniformDemand(1.0, "5")
+        with pytest.raises(ValueError, match="mu must be of type float, got True"):
+            TruncatedGaussianDemand(mu=True, sigma2=1.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="W and V"):
@@ -102,6 +107,33 @@ class TestBuildProblem:
             np.testing.assert_array_equal(ag_a.c, ag_b.c)
             np.testing.assert_array_equal(ag_a.d, ag_b.d)
             np.testing.assert_array_equal(ag_a.A, ag_b.A)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["cargo_m100_uniform", "cargo_m200_gaussian", "cargo_m100_two_row", "cargo_m1000_uniform"],
+    )
+    def test_stacked_build_matches_per_profile_reference(self, name):
+        """The stacked build assembles to the bits of one checked profile per
+        request, drawn from the same stream in the same order (prices,
+        densities, demands) and stacked block by block after the slacks."""
+        config = load_cargo_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+        for trial in range(20):
+            lp = assemble(build_problem(config, stream(config.seed, trial, "agents")))
+            rng = stream(config.seed, trial, "agents")
+            prices = rng.uniform(config.p_min, config.p_max, size=config.m)
+            rhos = rng.uniform(config.rho_min, config.rho_max, size=config.m)
+            demands = config.demand.sample(rng, config.m)
+            profiles = [
+                AgentProfile(n=1, c=[-prices[i]], d=[demands[i]], A=[[1.0], [1.0 / rhos[i]]])
+                for i in range(config.m)
+            ]
+            slack_c, slack_d = np.zeros(2), np.full(2, np.inf)
+            np.testing.assert_array_equal(lp.A, np.hstack([np.eye(2)] + [ag.A for ag in profiles]))
+            np.testing.assert_array_equal(lp.b, [config.W, config.V])
+            np.testing.assert_array_equal(lp.c, np.concatenate([slack_c, *(ag.c for ag in profiles)]))
+            np.testing.assert_array_equal(lp.d, np.concatenate([slack_d, *(ag.d for ag in profiles)]))
+            assert lp.n0 == 2
+            assert lp.agent_spans == tuple((2 + i, 3 + i) for i in range(config.m))
 
 
 class TestRegimes:

@@ -361,6 +361,31 @@ class TestCliSimulate:
             tmp_path / "b" / "trials.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 1.5),  # would run as seed 1 and record 1.5
+            ("seed", True),
+            ("m", 100.5),
+            ("m", 100.0),
+            ("trials", 1.5),
+            ("arrivals", 10.5),
+            ("W", "2e4"),
+            ("beta", None),
+        ],
+    )
+    def test_mistyped_config_value_is_an_input_error(self, tmp_path, capsys, field, value):
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "cargo_m100_uniform.json"
+        config = json.loads(shipped.read_text())
+        config.update({"trials": 1, field: value})
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err)
+        assert (code, err["error"]) == (2, "ValueError")
+        assert err["message"].startswith(f"{field} must be ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCampaignScript:
     def test_writes_simulate_summary_format(self, tmp_path, monkeypatch):

@@ -146,6 +146,73 @@ class TestAgentProfileInvariants:
             AgentProfile(n=n, c=c, d=d, A=A)
 
 
+class TestStackedProblem:
+    """Profiles and a stack ``(c, d, A[, starts])`` land in the same problem."""
+
+    PROFILES = (
+        AgentProfile(n=2, c=[-1.0, -2.0], d=[1.0, np.inf], A=[[1.0, 2.0], [0.5, 0.25]]),
+        AgentProfile(n=1, c=[-3.0], d=[2.0], A=[[1.0], [1.0]]),
+    )
+    STACK = (
+        np.array([-1.0, -2.0, -3.0]),
+        np.array([1.0, np.inf, 2.0]),
+        np.array([[1.0, 2.0, 1.0], [0.5, 0.25, 1.0]]),
+        [0, 2],
+    )
+
+    def test_profiles_and_stack_give_one_problem(self):
+        a = SharingProblem(p=2, n0=1, b=[3.0, 2.0], agents=self.PROFILES)
+        b = SharingProblem(p=2, n0=1, b=[3.0, 2.0], agents=self.STACK)
+        for x in (a, b):
+            assert (x.m, x.ell, x.starts.tolist()) == (2, 4, [0, 2])
+            lp = assemble(x)
+            assert lp.agent_spans == ((1, 3), (3, 4))
+            np.testing.assert_array_equal(lp.A, [[1.0, 1.0, 2.0, 1.0], [0.0, 0.5, 0.25, 1.0]])
+            for ag, ref in zip(x.agents, self.PROFILES, strict=True):
+                assert ag.n == ref.n
+                np.testing.assert_array_equal(ag.A, ref.A)
+                np.testing.assert_array_equal(ag.d, ref.d)
+
+    def test_no_agents(self):
+        prob = SharingProblem(p=1, n0=1, b=[1.0], agents=())
+        assert (prob.m, prob.ell, prob.agents) == (0, 1, ())
+
+    def test_one_column_per_agent_without_starts(self):
+        prob = SharingProblem(p=2, n0=2, b=[3.0, 2.0], agents=self.STACK[:3])
+        assert prob.m == 3 and assemble(prob).agent_spans == ((2, 3), (3, 4), (4, 5))
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("c", [np.nan, -2.0, -3.0], "agent 0: agent costs must be finite"),
+            ("A", [[1.0, 2.0, np.inf], [0.5, 0.25, 1.0]], "agent 1: agent usage matrix must be finite"),
+            ("d", [1.0, 1.0, -2.0], "agent 1: every finite upper limit must be strictly positive"),
+            ("d", [-1.0, np.nan, 1.0], "agent 0: upper limits must be > 0 or +inf"),
+        ],
+    )
+    def test_a_bad_value_names_its_agent(self, column, value, message):
+        c, d, A, starts = self.STACK
+        stack = {"c": c, "d": d, "A": A} | {column: np.array(value)}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SharingProblem(p=2, n0=1, b=[3.0, 2.0], agents=(*stack.values(), starts))
+
+    def test_mis_sized_stacks_are_refused(self):
+        c, d, A, starts = self.STACK
+        for stack, match in [
+            ((c, d, A[:1], starts), "rows"),
+            ((c[:2], d, A, starts), "columns"),
+            ((c, d, A, [1, 2]), "starts"),
+            ((c, d, A, [0, 3]), "starts"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                SharingProblem(p=2, n0=1, b=[3.0, 2.0], agents=stack)
+
+    def test_profile_of_other_row_count_is_named(self):
+        wide = AgentProfile(n=1, c=[-1.0], d=[1.0], A=[[1.0], [1.0], [1.0]])
+        with pytest.raises(ValueError, match=r"^agent 2 usage matrix has 3 rows, expected p=2$"):
+            SharingProblem(p=2, n0=1, b=[3.0, 2.0], agents=(*self.PROFILES, wide))
+
+
 class TestAssembledLPInvariants:
     def test_scalar_vectors_are_taken_as_length_one(self):
         lp = AssembledLP(A=[[1.0]], b=2.0, c=0.0, d=np.inf, n0=1)
@@ -842,6 +909,19 @@ class TestOracleAgreement:
             assert sol.objective == pytest.approx(obj_ref, rel=1e-8, abs=1e-10)
             if sol.clean and oracle.oracle_is_unique(optima):
                 assert np.max(np.abs(sol.x - x_ref)) < 1e-6
+
+    @pytest.mark.parametrize("shape", ["random", "duplicate", "price_tie", "unlimited", "vertex"])
+    def test_flagged_shapes_match_brute_force(self, shape):
+        # criterion 3's objective tolerance, on the degenerate and tied
+        # optima that random instances and the shipped configs rarely reach
+        flagged = 0
+        for seed in range(20):
+            lp, sol = oracle.flagged_or_clean_instance(np.random.default_rng(4000 + seed), shape)
+            _, obj_ref, _ = oracle.brute_force_optimum(lp)
+            assert abs(sol.objective - obj_ref) / (1.0 + abs(obj_ref)) <= 1e-8, seed
+            flagged += not sol.clean
+        if shape in ("duplicate", "vertex"):
+            assert flagged >= 10
 
     def test_mixed_magnitude_rows_survive_scaling(self):
         rng = np.random.default_rng(7)
