@@ -6,19 +6,20 @@ negative entry means the enlarged problem has a better optimum. ``lam`` is
 the ``PrimalSolution.lam`` the simplex left from its final basis inverse, so
 a screen solves nothing. One newcomer is classified on Python floats by
 ``changes_solution``. ``empirical_violation_probability`` takes a batch as
-stacked columns ``(c, d, A)`` plus the column where each newcomer starts, and
-classifies it in one array pass. Both sum in the same order, so they agree
-to the last bit.
+one stack ``(c, d, A[, starts])``, columns plus the column where each
+newcomer starts, and classifies it in one array pass. Both sum in the same
+order, so they agree to the last bit.
 
 The independent check is a re-solve of the enlarged problem. Appending the
 newcomer's columns at their lower bound keeps the old optimal basis feasible,
 so ``solve_augmented(..., base=solution)`` restarts phase 2 from the
 solution's own basis arrays. The campaign audits re-solve this way, many at
-once: ``empirical_violation_probability`` groups its audited draws by
-newcomer width and hands each group to ``solve_augmented`` as stacks of
-column slices (the stack ``lp_core._check_stack`` has checked), which
+once: ``empirical_violation_probability`` cuts its audited draws out of the
+stack (which ``lp_core._check_stack`` has checked), grouped by newcomer
+width, and hands each group to ``solve_augmented``, which
 ``lp_core.solve_appended`` re-solves in one lock-step pivot loop per batch
-of ``lp_core.appended_batch`` LPs. Each re-solve gets the bits of its
+of ``lp_core.appended_batch`` LPs; the verdicts of a batch are read off its
+stacked solutions in one array pass. Each re-solve gets the bits of its
 one-newcomer warm re-solve, and start feasibility, the scaled residual and
 the degenerate/nonunique flags are still checked on every one. Without
 ``base`` the re-solve starts cold from phase 1 and shares nothing with the
@@ -40,6 +41,7 @@ from .lp_core import (
     AgentProfile,
     AssembledLP,
     PrimalSolution,
+    SolutionStack,
     _any_per_segment,
     _check_stack,
     _set_fields,
@@ -172,7 +174,7 @@ def solve_augmented(
     lp: AssembledLP,
     newcomer: AgentProfile | tuple[np.ndarray, np.ndarray, np.ndarray],
     base: PrimalSolution | None = None,
-) -> PrimalSolution | list[PrimalSolution]:
+) -> PrimalSolution | SolutionStack:
     """Re-solve with the newcomer included. The old optimum padded with zeros
     stays feasible, so the objective can only improve or stay equal.
 
@@ -184,8 +186,8 @@ def solve_augmented(
     width n as arrays ``(c, d, A)`` of shapes (K, n), (K, n) and (K, p, n),
     whose values the caller has checked. A stack needs ``base``: its K
     enlarged LPs are re-solved warm in one lock-step loop
-    (``lp_core.solve_appended``), and the list of their K solutions returns,
-    each to the bits of ``solve_augmented(lp, <newcomer k>, base=base)``.
+    (``lp_core.solve_appended``), and their K solutions return stacked, item
+    k to the bits of ``solve_augmented(lp, <newcomer k>, base=base)``.
     """
     if isinstance(newcomer, AgentProfile):
         return solve_primal(augment(lp, newcomer), start=base)
@@ -198,13 +200,14 @@ def solve_augmented(
     return solve_appended(lp, c, d, A, base)
 
 
-def _resolve_says_changed(base: PrimalSolution, augmented: PrimalSolution) -> bool:
+def _resolve_says_changed(base: PrimalSolution, augmented: PrimalSolution | SolutionStack):
+    """Whether a re-solve moved the optimum: a column of the newcomer left 0,
+    or the objective stepped by more than 1e-8 relative to the base. A bool
+    for one solution, one per LP for a stack."""
     start, stop = augmented.agent_spans[-1]
-    # on Python floats: a newcomer has a column or two
-    if any(abs(v) > ACT_TOL for v in augmented.x[start:stop].tolist()):
-        return True
-    rel = abs(augmented.objective - base.objective) / (1.0 + abs(base.objective))
-    return rel > 1e-8
+    moved = (np.abs(augmented.x[..., start:stop]) > ACT_TOL).any(axis=-1)
+    rel = np.abs(augmented.objective - base.objective) / (1.0 + abs(base.objective))
+    return moved | (rel > 1e-8)
 
 
 @dataclass(frozen=True)
@@ -247,28 +250,34 @@ def _audit_draws(draws: int, fraction: float) -> np.ndarray:
 def empirical_violation_probability(
     lp: AssembledLP,
     solution: PrimalSolution,
-    c: np.ndarray,
-    d: np.ndarray,
-    A: np.ndarray,
-    starts=None,
+    newcomers: tuple,
     audit_fraction: float = 0.0,
     allow_flagged: bool = False,
 ) -> ViolationEstimate:
     """Monte Carlo estimate over stacked i.i.d. newcomers.
 
-    Newcomer i owns the columns of ``c``, ``d`` and ``A`` from ``starts[i]``
-    up to the next start; ``starts=None`` gives each column its own newcomer,
-    as the campaign's scalar arrivals have. A value ``AgentProfile`` would
-    refuse raises its ``ValueError`` before any newcomer is screened. All
-    newcomers are classified together by the certificate; re-solves run only
-    on the audit subsample: draw i wherever floor(i * audit_fraction) steps
-    up, ties skipped. The audited draws of one width are re-solved together,
-    in stacks of at most ``appended_batch`` LPs, and each solution is dropped
-    once compared, so the audit's memory is bounded by one batch.
+    ``newcomers`` is a stack ``(c, d, A)`` or ``(c, d, A, starts)``, as
+    ``SharingProblem`` takes its agents: newcomer i owns the columns from
+    ``starts[i]`` up to the next start, and without ``starts`` (or with None)
+    each column is a newcomer of its own, as the campaign's scalar arrivals
+    are. A value ``AgentProfile`` would refuse raises its ``ValueError``
+    before any newcomer is screened. All newcomers are classified together by
+    the certificate; re-solves run only on the audit subsample: draw i
+    wherever floor(i * audit_fraction) steps up, ties skipped.
+
+    The audited columns are cut out of the stack right after the screen and
+    the stack is let go: passed as a fresh tuple, as ``cargo.run_trial``
+    does, its arrays are freed before the re-solves start. The audited draws
+    of one width are re-solved together, in stacks of at most
+    ``appended_batch`` LPs, and each batch's solutions are dropped once
+    compared.
     """
     if not 0.0 <= audit_fraction <= 1.0:
         raise ValueError(f"audit_fraction must lie in [0, 1], got {audit_fraction}")
     _check_base(solution, allow_flagged)
+    c, d, A = newcomers[:3]
+    starts = newcomers[3] if len(newcomers) > 3 else None
+    del newcomers
     starts = _check_stack(c, d, A, starts, lp.p, "newcomer")
     ncols, draws = A.shape[1], len(starts)
     if draws < 1:
@@ -280,21 +289,23 @@ def empirical_violation_probability(
     picked = picked[~ties[picked]]
     spans = np.array([_span(starts, i, ncols) for i in picked.tolist()], dtype=int).reshape(-1, 2)
     lo, width = spans[:, 0], spans[:, 1] - spans[:, 0]
-    mismatches = 0
+    audits = []  # (the draws, their stacked columns) per newcomer width
     for n in sorted(set(width.tolist())):  # np.unique imports numpy.ma, ~15 ms, on first use
         group = (width == n).nonzero()[0]
-        batch = appended_batch(lp.p, lp.ell + n)
-        for first in range(0, group.size, batch):
-            part = group[first : first + batch]
-            cols = lo[part][:, None] + np.arange(n)
-            stack = (c[cols], d[cols], A[:, cols].transpose(1, 0, 2))
+        cols = lo[group][:, None] + np.arange(n)
+        audits.append((picked[group], c[cols], d[cols], A[:, cols].transpose(1, 0, 2)))
+    del c, d, A
+
+    mismatches = 0
+    for drawn, cs, ds, As in audits:
+        batch = appended_batch(lp.p, lp.ell + cs.shape[1])
+        for first in range(0, drawn.size, batch):
+            part = slice(first, first + batch)
             # no name holds the solutions: they go before the next batch comes
-            mismatches += sum(
-                _resolve_says_changed(solution, plus) != changed[draw]
-                for draw, plus in zip(
-                    picked[part].tolist(), solve_augmented(lp, stack, base=solution)
-                )
+            says = _resolve_says_changed(
+                solution, solve_augmented(lp, (cs[part], ds[part], As[part]), base=solution)
             )
+            mismatches += int((says != changed[drawn[part]]).sum())
     n_changes = int(changed.sum())
     return ViolationEstimate(
         fraction=n_changes / draws,
@@ -302,5 +313,5 @@ def empirical_violation_probability(
         ties=int(ties.sum()),
         draws=draws,
         audited=picked.size,
-        audit_mismatches=int(mismatches),
+        audit_mismatches=mismatches,
     )

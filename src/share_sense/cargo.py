@@ -212,13 +212,11 @@ def run_trial(config: CargoConfig, trial_index: int, table: EpsilonTable) -> Tri
             )
 
     arrival_rng = rng_streams.stream(config.seed, trial_index, "arrivals")
-    c, d, A = CargoArrivalSampler(config).sample_batch(config.n_arrivals, arrival_rng)
+    # a fresh stack that no name here holds: it is freed before the audits
     estimate = empirical_violation_probability(
         lp,
         solution,
-        c,
-        d,
-        A,
+        CargoArrivalSampler(config).sample_batch(config.n_arrivals, arrival_rng),
         audit_fraction=_AUDIT_FRACTION if solution.clean else 0.0,
         allow_flagged=True,
     )

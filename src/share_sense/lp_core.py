@@ -103,10 +103,7 @@ def _span(starts, i: int, ncols: int) -> tuple[int, int]:
 def _check_stack(c, d, A, starts, p: int, label: str | None = None):
     """The one check of a stack of agents using ``p`` rows, agent i owning the
     columns from ``starts[i]`` (None: one each) up to the next start: shapes,
-    ``starts``, then values in one pass. The first agent with a bad value
-    raises the first of its checks that fails (finite costs, finite usage, no
-    NaN or -inf limit, no finite limit <= 0), as "<label> i: ..." given a
-    ``label``. Returns ``starts``."""
+    ``starts``, then the values (``_check_values``). Returns ``starts``."""
     if A.ndim != 2 or A.shape[0] != p:
         raise ValueError(f"{label} usage matrix has shape {A.shape}, expected p={p} rows")
     ncols = A.shape[1]
@@ -116,14 +113,23 @@ def _check_stack(c, d, A, starts, p: int, label: str | None = None):
         starts = range(ncols)  # one column each; a range allocates no array
     elif not (len(starts) and starts[0] == 0 and starts[-1] < ncols and (np.diff(starts) > 0).all()):
         raise ValueError(f"starts must begin at 0 and ascend strictly below {ncols} columns")
+    _check_values(c, d, A, starts, label)
+    return starts
+
+
+def _check_values(c, d, A, starts, label: str | None = None) -> None:
+    """The values of a stack whose shapes and ``starts`` are right, in one
+    pass. The first agent with a bad value raises the first of its checks
+    that fails (finite costs, finite usage, no NaN or -inf limit, no finite
+    limit <= 0), as "<label> i: ..." given a ``label``."""
     ok = np.isfinite(c)
     ok &= d > 0.0  # False on NaN, -inf and finite entries <= 0
     for row in A:  # one row at a time keeps the temporaries to one bool per column
         ok &= np.isfinite(row)
     if ok.all():
-        return starts
+        return
     i = int(np.searchsorted(starts, int(np.argmin(ok)), side="right")) - 1
-    lo, hi = _span(starts, i, ncols)
+    lo, hi = _span(starts, i, c.size)
     d = d[lo:hi]
     if not np.isfinite(c[lo:hi]).all():
         message = "agent costs must be finite"
@@ -160,7 +166,7 @@ class AgentProfile:
             raise ValueError(
                 f"inconsistent agent dimensions: n={n}, c{c.shape}, d{d.shape}, A{A.shape}"
             )
-        _check_stack(c, d, A, (0,), A.shape[0])
+        _check_values(c, d, A, (0,))  # the shapes are checked above
         _set_fields(self, n=n, c=c, d=d, A=A)
 
 
@@ -794,8 +800,9 @@ def solve_primal(
 
 # Working set of one batch of ``solve_appended``. Each LP takes about
 # 8 * ell * (p + 4) bytes: its scaled (p, ell) block, its values, its pricing
-# row, and the solution it returns.
-_STACK_BYTES = 128 << 10
+# row, and the solution it returns. 1 MB holds 212 LPs of an m=100 cargo
+# trial, so the trial's 50 audits are one batch.
+_STACK_BYTES = 1 << 20
 _UFUNC_BUFFER = 512  # elements per numpy ufunc buffer in a batch
 
 
@@ -852,21 +859,54 @@ def _fail(error, failed: np.ndarray, message) -> None:
         raise error(f"LP {k} of the stack: {message(k)}")
 
 
+@dataclass(frozen=True, eq=False)
+class SolutionStack:
+    """The K solutions of ``solve_appended``, LP k's in row k of each array:
+    ``x`` and ``status`` of shape (K, ell), ``basis`` and ``lam`` (K, p), and
+    ``objective``, ``degenerate`` and ``nonunique`` (K,); ``agent_spans`` is
+    every LP's. Item k is LP k's ``PrimalSolution``, built on each access."""
+
+    x: np.ndarray
+    objective: np.ndarray
+    basis: np.ndarray
+    status: np.ndarray
+    agent_spans: tuple[tuple[int, int], ...]
+    lam: np.ndarray
+    degenerate: np.ndarray
+    nonunique: np.ndarray
+
+    def __len__(self) -> int:
+        return self.objective.size
+
+    def __getitem__(self, k: int) -> PrimalSolution:
+        return PrimalSolution(
+            x=self.x[k],
+            objective=float(self.objective[k]),
+            basis=self.basis[k],
+            status=self.status[k],
+            agent_spans=self.agent_spans,
+            lam=self.lam[k],
+            degenerate=bool(self.degenerate[k]),
+            nonunique=bool(self.nonunique[k]),
+        )
+
+
 def solve_appended(
     lp: AssembledLP, c: np.ndarray, d: np.ndarray, A: np.ndarray, base: PrimalSolution
-) -> list[PrimalSolution]:
+) -> SolutionStack:
     """Re-solve K copies of ``lp``, copy k with the n columns ``c[k]``,
     ``d[k]`` and ``A[k]`` appended (shapes (K, n), (K, n) and (K, p, n)),
     each warm from ``base``, a solution of ``lp``, in one lock-step loop.
 
-    Copy k comes out to the bits ``solve_primal`` gives it alone with
-    ``start=base``: the same row scaling, start check, pivot rules, inverse
-    updates, final checks and flags. Each copy keeps its own scaled block,
-    basis, inverse, statuses and values; the costs and limits of the old
-    columns are shared. Every iteration prices every copy, because a copy
-    whose basis and inverse stand prices to the same bits (so a finished copy
-    stays finished), and pivots the copies that have an entering column,
-    each by its own ties, Bland switch and refactorization count. Products
+    The solutions return stacked (``SolutionStack``). Copy k comes out to the
+    bits ``solve_primal`` gives it alone with ``start=base``: the same row
+    scaling, start check, pivot rules, inverse updates, final checks and
+    flags. Each copy keeps its own scaled block, basis, inverse, statuses
+    and values; the costs and limits of the old columns are shared. Every
+    iteration prices every copy, because a copy whose basis and inverse
+    stand prices to the same bits (so a finished copy stays finished), and
+    pivots the copies that have an entering column, each by its own ties,
+    Bland switch and refactorization count. Products
     are stacked ``matmul`` calls, which round each slice as one LP's product
     does; a plain gemm over the stack would not. A failure raises the typed
     error of ``solve_primal``, naming the copy by its position in the stack.
@@ -1035,24 +1075,19 @@ def _solve_appended(lp, c, d, A, base):
     # statuses in the dtype a single solve returns
     cost = viol
     cost[:, :ell0], cost[:, ell0:] = lp.c, c
-    objective = (cost[:, None, :] @ x[:, :, None])[:, 0, 0].tolist()
+    objective = (cost[:, None, :] @ x[:, :, None])[:, 0, 0]
     status = viol.view(int)
     status[:] = vstat
-    lam = -y[:, 0, :] / scale
-    spans = lp.agent_spans + ((ell0, ell),)
-    return [
-        PrimalSolution(
-            x=x[k],
-            objective=objective[k],
-            basis=basis[k],
-            status=status[k],
-            agent_spans=spans,
-            lam=lam[k],
-            degenerate=bool(degenerate[k]),
-            nonunique=bool(nonunique[k]),
-        )
-        for k in range(K)
-    ]
+    return SolutionStack(
+        x=x,
+        objective=objective,
+        basis=basis,
+        status=status,
+        agent_spans=lp.agent_spans + ((ell0, ell),),
+        lam=-y[:, 0, :] / scale,
+        degenerate=degenerate,
+        nonunique=nonunique,
+    )
 
 
 # --- structural checks -------------------------------------------------------

@@ -12,7 +12,6 @@ dual certificate.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import json
@@ -171,16 +170,20 @@ def load_cargo_config(source) -> CargoConfig:
 
 def write_epsilon_csv(table: EpsilonTable, target) -> None:
     """The interval table as CSV into a path, or into an open text stream
-    that is left open; floats as their round-trip repr."""
+    that is left open, in one write; floats as their round-trip repr.
+
+    The bytes are those of ``csv.writer``'s default dialect: no field needs
+    quoting (an int, or a float's repr), and each row ends in \\r\\n."""
+    columns = (table.t_low, table.t_high, table.eps_low, table.eps_high, table.eps_explicit)
+    rows = zip(range(table.m + 1), *(v.tolist() for v in columns))
+    text = "k,t_low,t_high,eps_low,eps_high,eps_explicit\r\n" + "".join(
+        "%d,%r,%r,%r,%r,%r\r\n" % row for row in rows
+    )
     if hasattr(target, "write"):
-        context = contextlib.nullcontext(target)
+        target.write(text)
     else:
-        context = open(target, "w", newline="")
-    with context as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "t_low", "t_high", "eps_low", "eps_high", "eps_explicit"])
-        for row in table.rows():
-            writer.writerow([row[0]] + [repr(v) for v in row[1:]])
+        with open(target, "w", newline="") as fh:
+            fh.write(text)
 
 
 def write_trials_csv(records: list[TrialRecord], path) -> None:

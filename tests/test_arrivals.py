@@ -90,7 +90,7 @@ class TestChangesSolution:
         assert changes_solution(lp, sol, tiny).changes
         c, d, A, starts = oracle.stack([tiny] * 3)
         for s in (starts, None):
-            est = empirical_violation_probability(lp, sol, c, d, A, starts=s)
+            est = empirical_violation_probability(lp, sol, (c, d, A, s))
             assert (est.changes, est.ties) == (3, 0)
 
     def test_dimension_mismatch_rejected(self, toy):
@@ -124,7 +124,7 @@ class TestChangesSolution:
         drawn = [newcomers[int(rng.integers(len(newcomers)))] for _ in singles]
         c, d, A, starts = oracle.stack(singles)
         for stack in [oracle.stack(drawn), (c, d, A, starts), (c, d, A, None)]:
-            empirical_violation_probability(lp, sol, *stack, allow_flagged=True)
+            empirical_violation_probability(lp, sol, stack, allow_flagged=True)
         assert calls == []
         # the spies are live: a warm re-solve factors its start basis
         solve_augmented(lp, newcomers[0], base=sol)
@@ -286,7 +286,7 @@ def test_stacked_screen_matches_one_at_a_time(seed, shape, kinds):
     assert changed.tolist() == [v.changes for v in alone]
     assert tie.tolist() == [v.tie for v in alone]
     c, d, A, starts = oracle.stack(newcomers)
-    est = empirical_violation_probability(lp, sol, c, d, A, starts=starts, allow_flagged=True)
+    est = empirical_violation_probability(lp, sol, (c, d, A, starts), allow_flagged=True)
     assert (est.changes, est.ties) == (sum(changed), sum(tie))
 
 
@@ -522,14 +522,14 @@ class TestEmpiricalViolationProbability:
     def test_constant_changer_gives_one(self, toy):
         lp, sol = toy
         stack = oracle.stack([profitable_newcomer()] * 25)
-        est = empirical_violation_probability(lp, sol, *stack)
+        est = empirical_violation_probability(lp, sol, stack)
         assert est.fraction == 1.0
         assert est.changes == 25
 
     def test_constant_keeper_gives_zero(self, toy):
         lp, sol = toy
         stack = oracle.stack([unprofitable_newcomer()] * 25)
-        est = empirical_violation_probability(lp, sol, *stack)
+        est = empirical_violation_probability(lp, sol, stack)
         assert est.fraction == 0.0
 
     def test_counts_are_a_plain_fraction(self, toy):
@@ -538,7 +538,7 @@ class TestEmpiricalViolationProbability:
             profitable_newcomer() if k % 100 < 37 else unprofitable_newcomer()
             for k in range(1, 101)
         ]
-        est = empirical_violation_probability(lp, sol, *oracle.stack(profiles))
+        est = empirical_violation_probability(lp, sol, oracle.stack(profiles))
         assert est.fraction == pytest.approx(0.37)
         assert float(est) == est.fraction
 
@@ -549,14 +549,14 @@ class TestEmpiricalViolationProbability:
         lp, sol = toy
         stack = oracle.stack([profitable_newcomer()] * 100)
         with pytest.raises(ValueError, match="audit_fraction"):
-            empirical_violation_probability(lp, sol, *stack, audit_fraction=audit_fraction)
+            empirical_violation_probability(lp, sol, stack, audit_fraction=audit_fraction)
 
     def test_full_audit_resolves_every_untied_draw(self, toy):
         lp, sol = toy
         clone = AgentProfile(n=1, c=[-1.0], d=[2.0], A=[[1.0]])  # a tie
         kinds = [profitable_newcomer(), unprofitable_newcomer(), clone]
         est = empirical_violation_probability(
-            lp, sol, *oracle.stack([kinds[i % 3] for i in range(100)]), audit_fraction=1.0
+            lp, sol, oracle.stack([kinds[i % 3] for i in range(100)]), audit_fraction=1.0
         )
         assert (est.ties, est.audited, est.audit_mismatches) == (33, 67, 0)
 
@@ -580,7 +580,7 @@ class TestEmpiricalViolationProbability:
 
         monkeypatch.setattr(arrivals, "solve_augmented", record)
         est = empirical_violation_probability(
-            lp, sol, *oracle.stack(profiles), audit_fraction=audit_fraction
+            lp, sol, oracle.stack(profiles), audit_fraction=audit_fraction
         )
         assert est.audited == len(picked)
         assert est.audit_mismatches == 0
@@ -610,10 +610,10 @@ class TestEmpiricalViolationProbability:
             AgentProfile(n=1, c=cs[i : i + 1], d=ds[i : i + 1], A=As[:, i : i + 1])
             for i in range(400)
         ]
-        est_batch = empirical_violation_probability(lp, sol, cs, ds, As, audit_fraction=0.05)
+        est_batch = empirical_violation_probability(lp, sol, (cs, ds, As), audit_fraction=0.05)
         c, d, A, starts = oracle.stack(newcomers)
         est_loop = empirical_violation_probability(
-            lp, sol, c, d, A, starts=starts, audit_fraction=0.05
+            lp, sol, (c, d, A, starts), audit_fraction=0.05
         )
         assert est_batch.changes == est_loop.changes
         assert est_batch.ties == est_loop.ties
@@ -632,7 +632,7 @@ class TestEmpiricalViolationProbability:
 
         monkeypatch.setattr(arrivals, "solve_appended", spy)
         empirical_violation_probability(
-            lp, sol, *oracle.stack([profitable_newcomer()] * 10), audit_fraction=0.5
+            lp, sol, oracle.stack([profitable_newcomer()] * 10), audit_fraction=0.5
         )
         # one stack of five one-column-wider LPs, each started from the base
         # solution itself
@@ -641,9 +641,9 @@ class TestEmpiricalViolationProbability:
     def test_audit_counts_a_disagreeing_resolve(self, toy, monkeypatch):
         lp, sol = toy
         real = arrivals._resolve_says_changed
-        monkeypatch.setattr(arrivals, "_resolve_says_changed", lambda *a: not real(*a))
+        monkeypatch.setattr(arrivals, "_resolve_says_changed", lambda *a: ~real(*a))
         est = empirical_violation_probability(
-            lp, sol, *oracle.stack([profitable_newcomer()] * 10), audit_fraction=0.5
+            lp, sol, oracle.stack([profitable_newcomer()] * 10), audit_fraction=0.5
         )
         assert est.audited == 5
         assert est.audit_mismatches == 5
@@ -653,7 +653,7 @@ class TestEmpiricalViolationProbability:
         rng = np.random.default_rng(42)
         newcomers = [oracle.random_agent(rng, lp.p) for _ in range(200)]
         stack = oracle.stack(newcomers)
-        est = empirical_violation_probability(lp, sol, *stack, audit_fraction=0.05)
+        est = empirical_violation_probability(lp, sol, stack, audit_fraction=0.05)
         assert est.audited > 0
         assert est.audit_mismatches == 0
 
@@ -667,7 +667,7 @@ class TestMisSizedStacks:
         c, d, A, _ = oracle.stack([profitable_newcomer()] * 4)
         for stack in [(c[:1], d, A), (c, d[:3], A), (c, d, np.ones((1, 7)))]:
             with pytest.raises(ValueError, match="columns"):
-                empirical_violation_probability(lp, sol, *stack)
+                empirical_violation_probability(lp, sol, stack)
 
     @pytest.mark.parametrize(
         "starts",
@@ -678,7 +678,7 @@ class TestMisSizedStacks:
         lp, sol = toy
         c, d, A, _ = oracle.stack([profitable_newcomer()] * 4)
         with pytest.raises(ValueError, match="starts"):
-            empirical_violation_probability(lp, sol, c, d, A, starts=starts)
+            empirical_violation_probability(lp, sol, (c, d, A, starts))
 
     def test_rows_must_match_the_base(self, toy):
         lp, sol = toy
@@ -686,12 +686,12 @@ class TestMisSizedStacks:
         c, d, A, starts = oracle.stack([wide, wide])
         for s in (starts, None):
             with pytest.raises(ValueError, match="rows"):
-                empirical_violation_probability(lp, sol, c, d, A, starts=s)
+                empirical_violation_probability(lp, sol, (c, d, A, s))
 
     def test_empty_stack_has_no_draw(self, toy):
         lp, sol = toy
         with pytest.raises(ValueError, match="at least one draw"):
-            empirical_violation_probability(lp, sol, np.empty(0), np.empty(0), np.empty((1, 0)))
+            empirical_violation_probability(lp, sol, (np.empty(0), np.empty(0), np.empty((1, 0))))
 
 
 @pytest.mark.parametrize("audit_fraction", [0.0, 1.0])
@@ -705,7 +705,7 @@ class TestStackValues:
         c, d = np.array([-5.0, -5.0, np.nan, -5.0]), np.array([1.0, 1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="newcomer 2: agent costs must be finite"):
             empirical_violation_probability(
-                lp, sol, c, d, np.ones((1, 4)), audit_fraction=audit_fraction
+                lp, sol, (c, d, np.ones((1, 4))), audit_fraction=audit_fraction
             )
 
     def test_usage_must_be_finite(self, toy, audit_fraction):
@@ -713,7 +713,7 @@ class TestStackValues:
         A = np.array([[1.0, 1.0, 1.0, np.inf]])
         with pytest.raises(ValueError, match="newcomer 3: agent usage matrix must be finite"):
             empirical_violation_probability(
-                lp, sol, np.full(4, -5.0), np.ones(4), A, audit_fraction=audit_fraction
+                lp, sol, (np.full(4, -5.0), np.ones(4), A), audit_fraction=audit_fraction
             )
 
     def test_limits_must_be_positive_or_plus_inf(self, toy, audit_fraction):
@@ -728,5 +728,5 @@ class TestStackValues:
         for d, starts, match in cases:
             with pytest.raises(ValueError, match=match):
                 empirical_violation_probability(
-                    lp, sol, c, np.array(d), A, starts=starts, audit_fraction=audit_fraction
+                    lp, sol, (c, np.array(d), A, starts), audit_fraction=audit_fraction
                 )

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -187,7 +188,7 @@ class TestRunTrial:
         config = small_config(arrivals=400)
         table = epsilon_table(config.m, config.beta)
         real = arrivals._resolve_says_changed
-        monkeypatch.setattr(arrivals, "_resolve_says_changed", lambda *a: not real(*a))
+        monkeypatch.setattr(arrivals, "_resolve_says_changed", lambda *a: ~real(*a))
         with pytest.raises(AuditMismatch, match="audit"):
             run_trial(config, 0, table)
 
@@ -202,7 +203,7 @@ class TestRunTrial:
             cargo, "solve_primal", lambda *a: dataclasses.replace(real_solve(*a), degenerate=True)
         )
         real = arrivals._resolve_says_changed
-        monkeypatch.setattr(arrivals, "_resolve_says_changed", lambda *a: not real(*a))
+        monkeypatch.setattr(arrivals, "_resolve_says_changed", lambda *a: ~real(*a))
         record = run_trial(config, 0, table)
         assert record.degenerate and not record.clean
         assert (record.s_star, record.p_hat) == (unpatched.s_star, unpatched.p_hat)
@@ -234,6 +235,44 @@ class TestRunTrial:
         assert sol.clean and sol.status[j] == 0 and RC_TOL < rc <= ACT_TOL
         assert count_active_dual(lp, cert) == count_active_primal(sol) == 81
         run_trial(config, 0, epsilon_table(config.m, config.beta))
+
+    def test_audits_are_one_batch_after_the_arrivals_are_freed(self, monkeypatch):
+        # an m=100 trial re-solves its audits in one lock-step batch, which
+        # starts once the 5000-draw arrival stack is gone
+        config = load_cargo_config(
+            Path(__file__).resolve().parents[1] / "configs" / "cargo_m100_uniform.json"
+        )
+        lp = assemble(build_problem(config, stream(config.seed, 0, "agents")))
+        sol = solve_primal(lp)
+        assert sol.clean
+        arrivals_rng = stream(config.seed, 0, "arrivals")
+        estimate = arrivals.empirical_violation_probability(
+            lp,
+            sol,
+            CargoArrivalSampler(config).sample_batch(config.n_arrivals, arrivals_rng),
+            audit_fraction=0.01,
+        )
+        assert estimate.audited > 0
+
+        drawn, calls = [], []
+        real_sample = CargoArrivalSampler.sample_batch
+        real_solve = arrivals.solve_appended
+
+        def sample(self, draws, rng):
+            stack = real_sample(self, draws, rng)
+            if draws == config.n_arrivals:
+                drawn.extend(weakref.ref(v) for v in stack)
+            return stack
+
+        def solve(lp_, c, d, A, base):
+            calls.append((c.shape[0], [ref() is None for ref in drawn]))
+            return real_solve(lp_, c, d, A, base)
+
+        monkeypatch.setattr(CargoArrivalSampler, "sample_batch", sample)
+        monkeypatch.setattr(arrivals, "solve_appended", solve)
+        run_trial(config, 0, epsilon_table(config.m, config.beta))
+        assert len(drawn) == 3
+        assert calls == [(estimate.audited, [True, True, True])]
 
 
 class TestRunCampaign:

@@ -1,5 +1,6 @@
 import csv
 import fcntl
+import io
 import json
 import os
 import runpy
@@ -21,6 +22,7 @@ from share_sense.serialize import (
     load_instance,
     problem_to_dict,
     solution_to_dict,
+    write_epsilon_csv,
 )
 
 TOY_INSTANCE = {
@@ -202,6 +204,24 @@ class TestSerialize:
         lp_a, lp_b = assemble(prob), assemble(again)
         np.testing.assert_array_equal(lp_a.A, lp_b.A)
         np.testing.assert_array_equal(lp_a.d, lp_b.d)
+
+
+    @pytest.mark.parametrize("m", [1, 10, 100, 250, 1000])
+    def test_epsilon_csv_has_csv_writers_bytes(self, m, tmp_path):
+        # the table is written in one piece; csv.writer over its rows is the reference
+        table = oracle.cached_table(m, 1e-7)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["k", "t_low", "t_high", "eps_low", "eps_high", "eps_explicit"])
+        for row in table.rows():
+            writer.writerow([row[0]] + [repr(v) for v in row[1:]])
+        want = want.getvalue().splitlines(keepends=True)  # a failure reports its first line
+        stream = io.StringIO(newline="")
+        write_epsilon_csv(table, stream)
+        assert not stream.closed
+        assert stream.getvalue().splitlines(keepends=True) == want
+        write_epsilon_csv(table, tmp_path / "epsilon.csv")
+        assert (tmp_path / "epsilon.csv").read_bytes().decode().splitlines(keepends=True) == want
 
 
 class TestCliSolve:

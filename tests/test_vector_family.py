@@ -54,8 +54,7 @@ def test_vector_family_covers_every_clean_trial():
         est = empirical_violation_probability(
             lp,
             sol,
-            *draw_agents(stream(0, trial, "arrivals"), DRAWS),
-            starts=range(0, N * DRAWS, N),
+            (*draw_agents(stream(0, trial, "arrivals"), DRAWS), range(0, N * DRAWS, N)),
             audit_fraction=AUDIT_FRACTION,
         )
         s_star = count_active_primal(sol)
