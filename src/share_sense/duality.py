@@ -101,9 +101,8 @@ def _transcribe_dual(lp: AssembledLP, epigraph: bool):
     fin = np.flatnonzero(np.isfinite(dg))
     nfin = fin.size
 
-    agent_of = np.empty(q, dtype=int)
-    for i, (start, stop) in enumerate(lp.agent_spans):
-        agent_of[start - n0 : stop - n0] = i
+    spans = np.array(lp.agent_spans)
+    agent_of = np.repeat(np.arange(m), spans[:, 1] - spans[:, 0])
 
     n_rows = q + (m if epigraph else 0)
     n_split = p - n0
@@ -142,7 +141,7 @@ def _transcribe_dual(lp: AssembledLP, epigraph: bool):
             )
             start = BasisPartition(
                 basic=tuple(basic.tolist()),
-                at_lower=tuple(np.setdiff1d(np.arange(ncols), basic).tolist()),
+                at_lower=tuple(np.delete(np.arange(ncols), basic).tolist()),
                 at_upper=(),
             )
     else:

@@ -32,8 +32,14 @@ vectorized pass, with the pivots the loop would make one flip at a time.
 appended to one LP, each warm from that LP's solution, in one lock-step pivot
 loop over stacked arrays: one numpy call serves every LP of the batch. Each
 LP keeps every rule above and comes out to the bits ``solve_primal`` gives it
-alone. One LP runs faster through ``solve_primal``, so that stays the path
-for a single solve.
+alone. One LP runs faster through ``solve_primal``'s own loop, so that stays
+the path for a single solve. Only the pivot loops are two: the row scaling
+(``_row_scale``), the start check (``_start_check``), the basis inverse
+(``_invert_stack``) and the finish (``_finish``: residual check, flags,
+objective, multipliers) are written once over a leading stack axis, and
+``solve_primal`` runs them on a stack of one and returns item 0 of the
+``SolutionStack``. Only an error from a stack of two or more LPs names the
+LP by its position.
 """
 
 from __future__ import annotations
@@ -394,31 +400,163 @@ def _nonbasic_values(vstat: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.where(vstat == _AT_UPPER, d, 0.0)
 
 
-def _adjugate_2x2(a, bb, cc, dd):
-    """Determinant and adjugate of [[a, bb], [cc, dd]], on floats or on
-    arrays of them: each entry rounds the same either way."""
-    return a * dd - bb * cc, [[dd, -bb], [-cc, a]]
+def _lp_error(error, k: int, size: int, message: str):
+    """``error`` with ``message`` about LP k of a stack of ``size`` LPs; a
+    stack of one is a single solve, so only a larger stack names the LP."""
+    return error(message if size == 1 else f"LP {k} of the stack: {message}")
 
 
-def _invert_basis(B: np.ndarray) -> np.ndarray:
-    """Inverse of the (small) basis matrix; hand-coded for p = 1 and p = 2
-    because the pivot loop is dominated by call overhead at cargo scale."""
-    p = B.shape[0]
+def _fail(error, bad: np.ndarray, size: int, message, lps=None) -> None:
+    """Raise ``error`` for the first LP ``bad`` flags in a stack of ``size``
+    LPs, if any: ``lps`` holds the stack position of each flag (None: its
+    index), and ``message(k)`` describes the LP at position k."""
+    if bad.any():
+        k = int(bad.argmax()) if lps is None else int(lps[bad.argmax()])
+        raise _lp_error(error, k, size, message(k))
+
+
+def _row_scale(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row divisor that brings each row of [A | b] to unit max-norm (1 for
+    an all-zero row), for a (p, ell) matrix or a stack (..., p, ell) sharing
+    ``b``. A max and a min are exact in any order and make no temporary the
+    size of ``A``."""
+    scale = np.maximum(A.max(axis=-1, initial=0.0), -A.min(axis=-1, initial=0.0))
+    scale = np.maximum(scale, np.abs(b))
+    return np.where(scale > 0.0, scale, 1.0)
+
+
+def _invert_stack(B: np.ndarray, lps: np.ndarray | None = None, size: int = 0) -> np.ndarray:
+    """Inverses of a stack of (small) bases: closed forms for p <= 2, where
+    the pivot loop is dominated by call overhead at cargo scale, and LAPACK's
+    inverse of each slice above. Each slice gets the bits it gets alone, so a
+    single solve inverts ``B[None]``. A singular slice raises SingularBasis
+    naming its LP: ``lps`` holds the position of each slice in a stack of
+    ``size`` LPs (default: the slices are that stack)."""
+    size = size or len(B)
+    p = B.shape[-1]
+    if p > 2:
+        try:
+            return np.linalg.inv(B)
+        except np.linalg.LinAlgError as exc:
+            for i, Bk in enumerate(B):
+                try:
+                    np.linalg.inv(Bk)
+                except np.linalg.LinAlgError:
+                    k = i if lps is None else int(lps[i])
+                    raise _lp_error(SingularBasis, k, size, "basis matrix is singular") from exc
+            raise
+    # C order: numpy multiplies a slice in another order without BLAS, which
+    # rounds unlike the product of one LP
+    inv = np.empty(B.shape)
     if p == 1:
-        det = B[0, 0]
-        if abs(det) < _SINGULAR_DET:
-            raise SingularBasis("1x1 basis is singular")
-        return np.array([[1.0 / det]])
-    if p == 2:
-        (a, bb), (cc, dd) = B.tolist()  # floats round as numpy scalars do
-        det, adj = _adjugate_2x2(a, bb, cc, dd)
-        if abs(det) < _SINGULAR_DET:
-            raise SingularBasis("2x2 basis is singular")
-        return np.array(adj) / det
-    try:
-        return np.linalg.inv(B)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBasis("basis matrix is singular") from exc
+        det = B[:, 0, 0]
+        np.divide(1.0, B, out=inv)
+    else:
+        a, bb, cc, dd = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
+        det = a * dd - bb * cc
+        inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 0], inv[:, 1, 1] = dd, -bb, -cc, a
+        inv /= det[:, None, None]
+    bad = np.abs(det) < _SINGULAR_DET
+    _fail(SingularBasis, bad, size, lambda k: f"{p}x{p} basis is singular", lps)
+    return inv
+
+
+def _basic_values(As, bs, Binv, x, ax=None) -> np.ndarray:
+    """x_B = Binv (b - A x_N) of each LP of a stack, ``ax`` taking A x_N."""
+    ax = np.matmul(As, x[:, :, None], out=ax)
+    return (Binv @ (bs[..., None] - ax))[:, :, 0]
+
+
+def _start_check(As, bs, basis, x, dB):
+    """Basis inverse and basic values of each LP of a stack started from one
+    ``basis``, with ``x`` its nonbasic values (basics at 0) and ``dB`` the
+    limits of the basic columns; raise InfeasibleStart unless the basic
+    values lie within their bounds."""
+    Binv = _invert_stack(As[:, :, basis])
+    xB = _basic_values(As, bs, Binv, x)
+    # a column at upper d = inf makes x_B non-finite; inf - inf is NaN and fails
+    _fail(
+        InfeasibleStart,
+        ~((xB.min(axis=1) >= -FEAS_TOL) & (xB - dB <= FEAS_TOL).all(axis=1)),
+        len(xB),
+        lambda k: f"start basis puts a basic variable outside its bounds: x_B = {xB[k]}",
+    )
+    return Binv, xB
+
+
+@dataclass(frozen=True, eq=False)
+class SolutionStack:
+    """The solutions of a stack of K LPs, LP k's in row k of each array:
+    ``x`` and ``status`` of shape (K, ell), ``basis`` and ``lam`` (K, p), and
+    ``objective``, ``degenerate`` and ``nonunique`` (K,); ``agent_spans`` is
+    every LP's. Item k is LP k's ``PrimalSolution``, built on each access:
+    ``solve_appended`` returns the stack, ``solve_primal`` item 0 of one."""
+
+    x: np.ndarray
+    objective: np.ndarray
+    basis: np.ndarray
+    status: np.ndarray
+    agent_spans: tuple[tuple[int, int], ...]
+    lam: np.ndarray
+    degenerate: np.ndarray
+    nonunique: np.ndarray
+
+    def __len__(self) -> int:
+        return self.objective.size
+
+    def __getitem__(self, k: int) -> PrimalSolution:
+        return PrimalSolution(
+            x=self.x[k],
+            objective=float(self.objective[k]),
+            basis=self.basis[k],
+            status=self.status[k],
+            agent_spans=self.agent_spans,
+            lam=self.lam[k],
+            degenerate=bool(self.degenerate[k]),
+            nonunique=bool(self.nonunique[k]),
+        )
+
+
+def _finish(lp, As, bs, scale, x, basis, vstat, dB, r, y, c=None) -> SolutionStack:
+    """The solutions of a stack of LPs, each ``lp`` with the columns of costs
+    ``c`` (K, n) appended (None: none), from the x each pivot loop assembled,
+    the scaled rows ``As`` and ``bs`` and the final basis, statuses, basic
+    limits ``dB`` and prices ``y``: the scaled-residual check, the
+    ``degenerate`` and ``nonunique`` flags, ``objective`` and ``lam``. ``r``
+    holds the final reduced costs, or pricing values (|r| off the basis); its
+    rows are spent on the results."""
+    size = len(x)
+    residual = np.abs((As @ x[:, :, None])[:, :, 0] - bs).max(axis=1, initial=0.0)
+    _fail(
+        FeasibilityCheckFailed,
+        ~(residual <= 10.0 * FEAS_TOL),  # a NaN fails too
+        size,
+        lambda k: f"solution failed the feasibility check: scaled residual {residual[k]:.3e}",
+    )
+    # an infinite or NaN entry of x fails the residual check, so no basic
+    # variable with d = inf reads as at its limit
+    xb = x[np.arange(size)[:, None], basis]
+    degenerate = ((xb <= ACT_TOL) | (xb >= dB - ACT_TOL)).any(axis=1)
+    nonunique = ((np.abs(r, out=r) <= RC_TOL) & (vstat != _BASIC)).any(axis=1)
+    # the spent rows of r take each LP's full cost vector, then its statuses
+    cost, spans = r, lp.agent_spans
+    cost[:, : lp.ell] = lp.c
+    if c is not None:
+        cost[:, lp.ell :] = c
+        spans += ((lp.ell, cost.shape[1]),)
+    objective = (cost[:, None, :] @ x[:, :, None])[:, 0, 0]
+    status = r.view(int)
+    status[:] = vstat
+    return SolutionStack(
+        x=x,
+        objective=objective,
+        basis=basis,
+        status=status,
+        agent_spans=spans,
+        lam=-y / scale,
+        degenerate=degenerate,
+        nonunique=nonunique,
+    )
 
 
 def _flip_run(A, b, d, Binv, basis, vstat, xN, viol, limit: int):
@@ -485,9 +623,10 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, warm=None):
     """Pivot until optimal, keeping the basis inverse across pivots.
 
     The basis is inverted once on entry unless the caller passes ``warm``:
-    its inverse and the nonbasic and basic values, as ``_start_basis``
-    returns them. A basis change updates the inverse by rank 1 (the eta update
-    with the entering column ``Binv @ A[:, j]``), and every
+    its inverse and the nonbasic and basic values, as the start check
+    (``_start_check`` on a stack of one) gives them. A basis change updates
+    the inverse by rank 1 (the eta update with the entering column
+    ``Binv @ A[:, j]``), and every
     ``_REFACTOR_EVERY`` basis changes (every one with at most two rows, where
     that costs fewer calls) rebuilds it from ``A[:, basis]`` to shed the
     rounding the updates accumulate. A bound flip leaves the basis and its
@@ -529,7 +668,7 @@ def _bounded_simplex(A, b, c, d, basis, vstat, max_iter: int, warm=None):
     while it < max_iter:
         it += 1
         if Binv is None:
-            Binv = _invert_basis(A[:, basis])
+            Binv = _invert_stack(A[:, basis][None])[0]
             changes = 0
         if y is None:
             y = c[basis] @ Binv
@@ -631,16 +770,15 @@ def _crash_basis(A, b, d):
     """Seed the basis with structural singleton columns (slack-like) whose
     implied value is within bounds; remaining rows get artificial variables."""
     p, ell = A.shape
-    basis = np.full(p, -1, dtype=int)
+    cols = (np.count_nonzero(A, axis=0) == 1).nonzero()[0]
+    rows = A[:, cols].T.nonzero()[1]  # the one nonzero row of each
+    v = b[rows] / A[rows, cols]
+    fits = (v >= -FEAS_TOL) & (v <= d[cols] + FEAS_TOL)
+    basis = np.full(p, ell)
+    np.minimum.at(basis, rows[fits], cols[fits])  # each row's first fitting column
     vstat = np.full(ell, _AT_LOWER, dtype=int)
-    for j in (np.count_nonzero(A, axis=0) == 1).nonzero()[0].tolist():
-        i = int(np.argmax(np.abs(A[:, j])))
-        if basis[i] >= 0:
-            continue
-        v = b[i] / A[i, j]
-        if -FEAS_TOL <= v <= d[j] + FEAS_TOL:
-            basis[i] = j
-            vstat[j] = _BASIC
+    vstat[basis[basis < ell]] = _BASIC
+    basis[basis == ell] = -1
     return basis, vstat
 
 
@@ -674,7 +812,7 @@ def _phase1(A, b, d, max_iter: int):
 
     # pivot zero-level artificials out of the basis
     for row in np.flatnonzero(basis1 >= ell):
-        pivots = _invert_basis(A1[:, basis1])[row] @ A
+        pivots = _invert_stack(A1[:, basis1][None])[0, row] @ A
         pivots[basis1[basis1 < ell]] = 0.0
         j = int(np.argmax(np.abs(pivots)))
         if abs(pivots[j]) <= 1e-9:
@@ -718,27 +856,6 @@ def _start_arrays(start, p: int, ell: int):
     )
 
 
-def _start_basis(A, b, d, basis, vstat):
-    """Basis inverse, nonbasic values and basic values of a warm start; raise
-    InfeasibleStart unless the basic values lie within their bounds."""
-    Binv = _invert_basis(A[:, basis])
-    xN = _nonbasic_values(vstat, d)
-    xB = Binv @ (b - A @ xN)
-    # a column at upper d = inf makes x_B non-finite; inf - inf is NaN and fails
-    if not (xB.min() >= -FEAS_TOL and (xB - d[basis] <= FEAS_TOL).all()):
-        raise InfeasibleStart(
-            f"start basis puts a basic variable outside its bounds: x_B = {xB}"
-        )
-    return Binv, xN, xB
-
-
-def _row_scale(lp: AssembledLP) -> np.ndarray:
-    """Per-row divisor that brings each row of [A | b] to unit max-norm
-    (1 for an all-zero row)."""
-    scale = np.maximum(np.abs(lp.A).max(axis=1, initial=0.0), np.abs(lp.b))
-    return np.where(scale > 0.0, scale, 1.0)
-
-
 def solve_primal(
     lp: AssembledLP, start: BasisPartition | PrimalSolution | None = None
 ) -> PrimalSolution:
@@ -758,7 +875,7 @@ def solve_primal(
     if ell < p:
         raise ValueError(f"need at least as many variables as rows: ell={ell} < p={p}")
 
-    scale = _row_scale(lp)
+    scale = _row_scale(lp.A, lp.b)
     As = lp.A / scale[:, None]
     bs = lp.b / scale
 
@@ -769,31 +886,14 @@ def solve_primal(
             warm = None
         else:
             basis, vstat = _start_arrays(start, p, ell)
-            warm = _start_basis(As, bs, lp.d, basis, vstat)
+            xN = _nonbasic_values(vstat, lp.d)
+            Binv, xB = _start_check(As[None], bs, basis, xN[None], lp.d[basis])
+            warm = Binv[0], xN, xB[0]
         x, y, r = _bounded_simplex(As, bs, lp.c, lp.d, basis, vstat, max_iter, warm)
 
-    residual = float(np.abs(As @ x - bs).max(initial=0.0))
-    if not residual <= 10.0 * FEAS_TOL:  # a NaN fails too
-        raise FeasibilityCheckFailed(
-            f"solution failed the feasibility check: scaled residual {residual:.3e}"
-        )
-
-    # an infinite or NaN entry of x fails the residual check, so no basic
-    # variable with d = inf reads as at its limit
-    xb = x[basis]
-    degenerate = bool(((xb <= ACT_TOL) | (xb >= lp.d[basis] - ACT_TOL)).any())
-    nonunique = bool(((np.abs(r) <= RC_TOL) & (vstat != _BASIC)).any())
-
-    return PrimalSolution(
-        x=x,
-        objective=float(lp.c @ x),
-        basis=basis,
-        status=vstat,
-        agent_spans=lp.agent_spans,
-        lam=-y / scale,
-        degenerate=degenerate,
-        nonunique=nonunique,
-    )
+    # the checks and flags of ``solve_appended``, on a stack of one
+    As, x, basis, vstat, dB, r, y = (v[None] for v in (As, x, basis, vstat, lp.d[basis], r, y))
+    return _finish(lp, As, bs, scale, x, basis, vstat, dB, r, y)[0]
 
 
 # --- lock-step re-solves of appended LPs -------------------------------------
@@ -810,85 +910,6 @@ def appended_batch(p: int, ell: int) -> int:
     """LPs of p rows and ell columns per ``solve_appended`` call that keep its
     working set within ``_STACK_BYTES``."""
     return max(1, _STACK_BYTES // (8 * ell * (p + 4)))
-
-
-def _invert_stack(B: np.ndarray, lps: np.ndarray) -> np.ndarray:
-    """``_invert_basis`` over a stack of bases, each slice to the same bits:
-    the same closed forms for p <= 2, LAPACK's inverse of each slice above.
-    A singular slice raises SingularBasis naming its LP; ``lps`` holds the
-    stack position of each slice."""
-    p = B.shape[-1]
-    if p > 2:
-        try:
-            return np.linalg.inv(B)
-        except np.linalg.LinAlgError as exc:
-            for k, Bk in zip(lps.tolist(), B):
-                try:
-                    np.linalg.inv(Bk)
-                except np.linalg.LinAlgError:
-                    raise SingularBasis(f"LP {k} of the stack: basis matrix is singular") from exc
-            raise
-    # C order: numpy multiplies a slice in another order without BLAS, which
-    # rounds unlike the product of one LP
-    inv = np.empty(B.shape)
-    if p == 1:
-        det = B[:, 0, 0]
-        np.divide(1.0, B, out=inv)
-    else:
-        det, adj = _adjugate_2x2(B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1])
-        inv[:, 0, 0], inv[:, 0, 1] = adj[0]
-        inv[:, 1, 0], inv[:, 1, 1] = adj[1]
-        inv /= det[:, None, None]
-    bad = np.abs(det) < _SINGULAR_DET
-    if bad.any():
-        raise SingularBasis(f"LP {lps[bad.argmax()]} of the stack: {p}x{p} basis is singular")
-    return inv
-
-
-def _basic_values(As, bs, Binv, x, ax) -> np.ndarray:
-    """x_B = Binv (b - A x_N) of each LP of a stack, ``ax`` taking A x_N."""
-    np.matmul(As, x[:, :, None], out=ax)
-    return (Binv @ (bs[:, :, None] - ax))[:, :, 0]
-
-
-def _fail(error, failed: np.ndarray, message) -> None:
-    """Raise ``error`` for the first of the ``failed`` stack positions, if
-    any; ``message(k)`` describes the LP at position k."""
-    if failed.size:
-        k = int(failed[0])
-        raise error(f"LP {k} of the stack: {message(k)}")
-
-
-@dataclass(frozen=True, eq=False)
-class SolutionStack:
-    """The K solutions of ``solve_appended``, LP k's in row k of each array:
-    ``x`` and ``status`` of shape (K, ell), ``basis`` and ``lam`` (K, p), and
-    ``objective``, ``degenerate`` and ``nonunique`` (K,); ``agent_spans`` is
-    every LP's. Item k is LP k's ``PrimalSolution``, built on each access."""
-
-    x: np.ndarray
-    objective: np.ndarray
-    basis: np.ndarray
-    status: np.ndarray
-    agent_spans: tuple[tuple[int, int], ...]
-    lam: np.ndarray
-    degenerate: np.ndarray
-    nonunique: np.ndarray
-
-    def __len__(self) -> int:
-        return self.objective.size
-
-    def __getitem__(self, k: int) -> PrimalSolution:
-        return PrimalSolution(
-            x=self.x[k],
-            objective=float(self.objective[k]),
-            basis=self.basis[k],
-            status=self.status[k],
-            agent_spans=self.agent_spans,
-            lam=self.lam[k],
-            degenerate=bool(self.degenerate[k]),
-            nonunique=bool(self.nonunique[k]),
-        )
 
 
 def solve_appended(
@@ -909,7 +930,8 @@ def solve_appended(
     Bland switch and refactorization count. Products
     are stacked ``matmul`` calls, which round each slice as one LP's product
     does; a plain gemm over the stack would not. A failure raises the typed
-    error of ``solve_primal``, naming the copy by its position in the stack.
+    error of ``solve_primal``, naming the copy by its position in a stack of
+    two or more.
 
     Built for many small LPs: one LP is solved faster by ``solve_primal``.
     """
@@ -927,17 +949,13 @@ def _solve_appended(lp, c, d, A, base):
     """``solve_appended``'s loop and checks, in its errstate and buffer size."""
     K, p, n = A.shape
     ell0, ell = lp.ell, lp.ell + n
-    lps = np.arange(K)
     # shared costs and limits: column j >= ell0 of copy k is entry j + k * n
     c_all = np.concatenate([lp.c, c.ravel()])
     d_all = np.concatenate([lp.d, d.ravel()])
-    # _row_scale of each enlarged LP; a max is exact in any order
-    scale = np.maximum(np.abs(lp.A).max(axis=1, initial=0.0), np.abs(A).max(axis=2, initial=0.0))
-    scale = np.maximum(scale, np.abs(lp.b))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    As = np.empty((K, p, ell))
-    np.divide(lp.A, scale[:, :, None], out=As[:, :, :ell0])
-    np.divide(A, scale[:, :, None], out=As[:, :, ell0:])
+    As = np.empty((K, p, ell))  # each enlarged LP's rows, scaled in place
+    As[:, :, :ell0], As[:, :, ell0:] = lp.A, A
+    scale = _row_scale(As, lp.b)
+    As /= scale[:, :, None]
     bs = lp.b / scale
 
     basis1, vstat1 = _start_arrays(base, p, ell)
@@ -952,13 +970,7 @@ def _solve_appended(lp, c, d, A, base):
     viol = np.empty((K, ell))  # reduced costs, then their pricing values
 
     max_iter = 2000 + 60 * (ell + p)
-    Binv = _invert_stack(As[:, :, basis1], lps)
-    xB = _basic_values(As, bs, Binv, x, ax)
-    _fail(
-        InfeasibleStart,
-        np.flatnonzero(~((xB.min(axis=1) >= -FEAS_TOL) & (xB - dB <= FEAS_TOL).all(axis=1))),
-        lambda k: f"start basis puts a basic variable outside its bounds: x_B = {xB[k]}",
-    )
+    Binv = _start_check(As, bs, basis1, x, d_all[basis1])[0]
 
     done = np.zeros(K, dtype=bool)
     stale = np.zeros(K, dtype=bool)  # the inverse must be rebuilt
@@ -969,7 +981,7 @@ def _solve_appended(lp, c, d, A, base):
         if stale.any():
             s = stale.nonzero()[0]
             B = As[s[:, None, None], np.arange(p)[:, None], basis[s, None, :]]
-            Binv[s] = _invert_stack(B, s)
+            Binv[s] = _invert_stack(B, s, K)
             stale[s], changes[s] = False, 0
         np.matmul(cB[:, None, :], Binv, out=y)
         np.matmul(y, As, out=viol[:, None, :])
@@ -1012,8 +1024,10 @@ def _solve_appended(lp, c, d, A, base):
         t_step = np.minimum(t_rows.min(axis=1), t_own)
         _fail(
             UnboundedProblem,
-            m[~np.isfinite(t_step)],
+            ~np.isfinite(t_step),
+            K,
             lambda k: f"entering variable {j[k]} can improve the objective without bound",
+            m,
         )
 
         # steps within rounding of the shortest one tie; a tied flip wins
@@ -1053,41 +1067,13 @@ def _solve_appended(lp, c, d, A, base):
     else:
         _fail(
             PivotLimit,
-            np.flatnonzero(~done),
+            ~done,
+            K,
             lambda k: f"simplex failed to terminate within {max_iter} pivots",
         )
 
     np.put_along_axis(x, basis, _basic_values(As, bs, Binv, x, ax), axis=1)
-
-    np.matmul(As, x[:, :, None], out=ax)
-    del As  # the largest array of the batch; the results do not need it
-    residual = np.abs(ax[:, :, 0] - bs).max(axis=1, initial=0.0)
-    _fail(
-        FeasibilityCheckFailed,
-        np.flatnonzero(~(residual <= 10.0 * FEAS_TOL)),
-        lambda k: f"solution failed the feasibility check: scaled residual {residual[k]:.3e}",
-    )
-    xb = np.take_along_axis(x, basis, axis=1)
-    degenerate = ((xb <= ACT_TOL) | (xb >= dB - ACT_TOL)).any(axis=1)
-    # |viol| is |r| off the basis, where the pricing sign is -1 or 1
-    nonunique = ((np.abs(viol) <= RC_TOL) & (vstat != _BASIC)).any(axis=1)
-    # the spent pricing rows hold each copy's full cost vector, then the
-    # statuses in the dtype a single solve returns
-    cost = viol
-    cost[:, :ell0], cost[:, ell0:] = lp.c, c
-    objective = (cost[:, None, :] @ x[:, :, None])[:, 0, 0]
-    status = viol.view(int)
-    status[:] = vstat
-    return SolutionStack(
-        x=x,
-        objective=objective,
-        basis=basis,
-        status=status,
-        agent_spans=lp.agent_spans + ((ell0, ell),),
-        lam=-y[:, 0, :] / scale,
-        degenerate=degenerate,
-        nonunique=nonunique,
-    )
+    return _finish(lp, As, bs, scale, x, basis, vstat, dB, viol, y[:, 0, :], c)
 
 
 # --- structural checks -------------------------------------------------------
@@ -1114,7 +1100,7 @@ def check_basic_solution(
     x = np.asarray(x, dtype=float)
     failures = []
 
-    scale = _row_scale(lp)
+    scale = _row_scale(lp.A, lp.b)
     resid = float(np.max(np.abs((lp.A @ x - lp.b) / scale), initial=0.0))
     if resid > 10.0 * FEAS_TOL:
         failures.append(f"budget residual {resid:.3e}")

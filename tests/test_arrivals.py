@@ -117,7 +117,7 @@ class TestChangesSolution:
 
             return counting
 
-        monkeypatch.setattr(lp_core, "_invert_basis", spy(lp_core._invert_basis))
+        monkeypatch.setattr(lp_core, "_invert_stack", spy(lp_core._invert_stack))
         monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
         for nc in newcomers:
             changes_solution(lp, sol, nc, allow_flagged=True)

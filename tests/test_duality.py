@@ -212,14 +212,14 @@ class TestRelaxationStart:
     def test_half_size_cargo_skips_phase_one(self, monkeypatch):
         # 12 basis changes from the start, against 50 + 37 through both phases cold
         inversions = []
-        invert = lp_core._invert_basis
+        invert = lp_core._invert_stack
 
-        def counting_invert(B):
-            inversions.append(B.shape[0])
-            return invert(B)
+        def counting_invert(B, *args):
+            inversions.append(B.shape[-1])
+            return invert(B, *args)
 
         monkeypatch.setattr(lp_core, "_REFACTOR_EVERY", 1)
-        monkeypatch.setattr(lp_core, "_invert_basis", counting_invert)
+        monkeypatch.setattr(lp_core, "_invert_stack", counting_invert)
         solve_dual_relaxation(half_size_cargo_lp(0))
         # one inversion checks the start, then one per basis change
         assert len(inversions) - 1 <= 20

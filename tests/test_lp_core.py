@@ -21,6 +21,7 @@ from share_sense import (
     PivotLimit,
     RankDeficient,
     SharingProblem,
+    SingularBasis,
     UnboundedProblem,
     UniformDemand,
     assemble,
@@ -338,6 +339,23 @@ class TestSolvePrimal:
         _, obj_ref, _ = oracle.brute_force_optimum(lp)
         assert sol.objective == pytest.approx(obj_ref, abs=1e-9)
 
+    def test_crash_takes_the_first_fitting_singleton_of_each_row(self):
+        # row 0 has singletons 0, 1 and 3: column 0 would sit at 2 > d = 1,
+        # so column 1 is taken, not the later column 3; no singleton of row 1
+        # fits (column 2 at 3 > 2, column 5 at -3), so phase 1 covers it
+        lp = AssembledLP(
+            A=[[1.0, 1.0, 0.0, 2.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 1.0, -1.0]],
+            b=[2.0, 3.0],
+            c=[-1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+            d=[1.0, 5.0, 2.0, np.inf, np.inf, np.inf],
+            n0=0,
+        )
+        basis, vstat = lp_core._crash_basis(lp.A, lp.b, lp.d)
+        assert basis.tolist() == [1, -1]
+        assert vstat.tolist() == [lp_core._AT_LOWER, lp_core._BASIC] + [lp_core._AT_LOWER] * 4
+        _, obj_ref, _ = oracle.brute_force_optimum(lp)
+        assert solve_primal(lp).objective == pytest.approx(obj_ref, abs=1e-9)
+
     def test_step_tie_leaves_the_row_with_the_largest_pivot(self):
         # the agent empties both slacks at the same step; on the scaled rows
         # its pivot entries are 1 and 2, so the second slack leaves
@@ -353,13 +371,13 @@ class TestWarmStart:
         lp = assemble(toy_problem())
         sol = solve_primal(lp)
         factorizations = []
-        real = lp_core._invert_basis
+        real = lp_core._invert_stack
 
-        def counting(B):
+        def counting(B, *args):
             factorizations.append(B)
-            return real(B)
+            return real(B, *args)
 
-        monkeypatch.setattr(lp_core, "_invert_basis", counting)
+        monkeypatch.setattr(lp_core, "_invert_stack", counting)
         again = solve_primal(lp, start=sol.partition)
         # the factorization that checks the start also finds it optimal
         assert len(factorizations) == 1
@@ -388,8 +406,9 @@ class TestWarmStart:
         lp = assemble(toy_problem())
         # both agents at their limits need 4 units of a budget of 3: slack = -1
         start = BasisPartition(basic=(0,), at_lower=(), at_upper=(1, 2))
-        with pytest.raises(InfeasibleStart):
+        with pytest.raises(InfeasibleStart) as info:
             solve_primal(lp, start=start)
+        assert "of the stack" not in str(info.value)
 
     def test_start_with_infinite_upper_value_raises(self):
         prob = SharingProblem(
@@ -567,11 +586,11 @@ class TestBasisInverseUpdate:
 
         def inversions_per_phase(refactor_every):
             counts = []
-            invert, simplex = lp_core._invert_basis, lp_core._bounded_simplex
+            invert, simplex = lp_core._invert_stack, lp_core._bounded_simplex
 
-            def counting_invert(B):
+            def counting_invert(B, *args):
                 counts[-1] += 1
-                return invert(B)
+                return invert(B, *args)
 
             def counting_simplex(*args):
                 counts.append(0)
@@ -579,7 +598,7 @@ class TestBasisInverseUpdate:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(lp_core, "_REFACTOR_EVERY", refactor_every)
-                mp.setattr(lp_core, "_invert_basis", counting_invert)
+                mp.setattr(lp_core, "_invert_stack", counting_invert)
                 mp.setattr(lp_core, "_bounded_simplex", counting_simplex)
                 solve_primal(dual_lp)
             return counts
@@ -739,8 +758,9 @@ class TestTypedFailures:
             return x + 1e-3, y, r
 
         monkeypatch.setattr(lp_core, "_bounded_simplex", drifting)
-        with pytest.raises(FeasibilityCheckFailed):
+        with pytest.raises(FeasibilityCheckFailed) as info:
             solve_primal(assemble(toy_problem()))
+        assert "of the stack" not in str(info.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_feasibility_check_fails_a_non_finite_x(self, monkeypatch, bad):
@@ -756,6 +776,23 @@ class TestTypedFailures:
         with pytest.raises(FeasibilityCheckFailed, match="scaled residual (nan|inf)"):
             solve_primal(assemble(toy_problem()))
 
+    @pytest.mark.parametrize(
+        "A, basic, message",
+        [
+            ([[0.0, 1.0]], (0,), "1x1 basis is singular"),
+            ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]], (0, 1), "2x2 basis is singular"),
+            (np.ones((3, 3)), (0, 1, 2), "basis matrix is singular"),
+        ],
+    )
+    def test_singular_start_basis(self, A, basic, message):
+        A = np.asarray(A)
+        p, ell = A.shape
+        lp = AssembledLP(A=A, b=np.ones(p), c=np.zeros(ell), d=np.full(ell, np.inf), n0=0)
+        start = BasisPartition(basic=basic, at_lower=tuple(range(p, ell)), at_upper=())
+        with pytest.raises(SingularBasis, match=message) as info:
+            solve_primal(lp, start=start)
+        # only a stack of two or more LPs names the LP
+        assert "of the stack" not in str(info.value)
 
     def test_rank_deficient(self):
         # proportional equality rows: phase 1 ends with an artificial at zero
