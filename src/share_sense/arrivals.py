@@ -10,16 +10,17 @@ one stack ``(c, d, A[, starts])``, columns plus the column where each
 newcomer starts, and classifies it in one array pass. Both sum in the same
 order, so they agree to the last bit.
 
-The independent check is a re-solve of the enlarged problem. Appending the
-newcomer's columns at their lower bound keeps the old optimal basis feasible,
-so ``solve_augmented(..., base=solution)`` restarts phase 2 from the
-solution's own basis arrays. The campaign audits re-solve this way, many at
-once: ``empirical_violation_probability`` cuts its audited draws out of the
-stack (which ``lp_core._check_stack`` has checked), grouped by newcomer
-width, and hands each group to ``solve_augmented``, which
-``lp_core.solve_appended`` re-solves in one lock-step pivot loop per batch
-of ``lp_core.appended_batch`` LPs; the verdicts of a batch are read off its
-stacked solutions in one array pass. Each re-solve gets the bits of its
+The independent check is a re-solve of the enlarged problem, whose last
+agent is the newcomer (``starts`` gains the old ``lp.ell``). Its columns at
+their lower bound keep the old optimal basis feasible, so
+``solve_augmented(..., base=solution)`` restarts phase 2 from the solution's
+own basis arrays. The campaign audits re-solve this way, many at once:
+``empirical_violation_probability`` cuts its audited draws out of the stack
+(checked by ``lp_core._check_stack``), grouped by newcomer width, and hands
+each group to ``solve_augmented``, which ``lp_core.solve_appended``
+re-solves in one lock-step pivot loop per batch of ``appended_batch`` LPs;
+the verdicts are read off a batch's solutions from ``starts[-1]`` on, in one
+array pass. Each re-solve gets the bits of its
 one-newcomer warm re-solve, and start feasibility, the scaled residual and
 the degenerate/nonunique flags are still checked on every one. Without
 ``base`` the re-solve starts cold from phase 1 and shares nothing with the
@@ -143,12 +144,12 @@ def changes_solution(
 
 def _check_append(lp: AssembledLP, rows: int) -> None:
     """What appending newcomer columns adds to check: their row count, and
-    that their span can follow the last one (an LP without agent blocks must
+    that their block can start at ``lp.ell`` (an LP without agent blocks must
     end at its slacks)."""
     _check_rows(lp, rows)
-    if not lp.agent_spans and lp.ell != lp.n0:
+    if not lp.starts.size and lp.ell != lp.n0:
         raise ValueError(
-            f"an LP with no agent spans has {lp.ell - lp.n0} columns past its "
+            f"an LP with no agent starts has {lp.ell - lp.n0} columns past its "
             f"{lp.n0} slacks; a newcomer cannot follow them"
         )
 
@@ -158,7 +159,6 @@ def augment(lp: AssembledLP, newcomer: AgentProfile) -> AssembledLP:
     Both passed their own checks when they were built, so only what the
     append adds is checked (``_check_append``)."""
     _check_append(lp, newcomer.A.shape[0])
-    start = lp.ell
     return _set_fields(
         object.__new__(AssembledLP),
         A=np.concatenate([lp.A, newcomer.A], axis=1),
@@ -166,7 +166,7 @@ def augment(lp: AssembledLP, newcomer: AgentProfile) -> AssembledLP:
         c=np.concatenate([lp.c, newcomer.c]),
         d=np.concatenate([lp.d, newcomer.d]),
         n0=lp.n0,
-        agent_spans=lp.agent_spans + ((start, start + newcomer.n),),
+        starts=np.concatenate([lp.starts, [lp.ell]]),
     )
 
 
@@ -204,8 +204,7 @@ def _resolve_says_changed(base: PrimalSolution, augmented: PrimalSolution | Solu
     """Whether a re-solve moved the optimum: a column of the newcomer left 0,
     or the objective stepped by more than 1e-8 relative to the base. A bool
     for one solution, one per LP for a stack."""
-    start, stop = augmented.agent_spans[-1]
-    moved = (np.abs(augmented.x[..., start:stop]) > ACT_TOL).any(axis=-1)
+    moved = (np.abs(augmented.x[..., augmented.starts[-1] :]) > ACT_TOL).any(axis=-1)
     rel = np.abs(augmented.objective - base.objective) / (1.0 + abs(base.objective))
     return moved | (rel > 1e-8)
 

@@ -64,7 +64,7 @@ def relaxation_values(lp: AssembledLP, nu: np.ndarray) -> np.ndarray:
     if lp.ell - lp.n0 == lp.m:
         # one column per agent: a sum of one term, which turns -0.0 into 0.0
         return contrib[lp.n0 :] + 0.0
-    return np.array([contrib[start:stop].sum() for start, stop in lp.agent_spans])
+    return np.array([block.sum() for block in np.split(contrib, lp.starts)[1:]])
 
 
 def closed_form_certificate(lp: AssembledLP, solution: PrimalSolution) -> DualCertificate:
@@ -101,8 +101,7 @@ def _transcribe_dual(lp: AssembledLP, epigraph: bool):
     fin = np.flatnonzero(np.isfinite(dg))
     nfin = fin.size
 
-    spans = np.array(lp.agent_spans)
-    agent_of = np.repeat(np.arange(m), spans[:, 1] - spans[:, 0])
+    agent_of = np.repeat(np.arange(m), np.diff(lp.starts, append=lp.ell))
 
     n_rows = q + (m if epigraph else 0)
     n_split = p - n0
@@ -147,9 +146,7 @@ def _transcribe_dual(lp: AssembledLP, epigraph: bool):
     else:
         cost[nu_off : nu_off + nfin] = dg[fin]
 
-    dual_lp = AssembledLP(
-        A=M, b=rhs, c=cost, d=np.full(ncols, np.inf), n0=0, agent_spans=()
-    )
+    dual_lp = AssembledLP(A=M, b=rhs, c=cost, d=np.full(ncols, np.inf), n0=0)
     meta = dict(fin=fin, q=q, lam_neg=lam_neg, nu_off=nu_off, h_off=h_off)
     return dual_lp, meta, start
 

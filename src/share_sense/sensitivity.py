@@ -441,9 +441,8 @@ def epsilon_table(m: int, beta: float) -> EpsilonTable:
 
 def count_active_primal(solution: PrimalSolution) -> int:
     """Number of agents with at least one decision component away from zero.
-    The slack block lies before the first agent span and is left out."""
-    starts = [start for start, _ in solution.agent_spans]
-    return int(np.count_nonzero(_any_per_segment(np.abs(solution.x) > ACT_TOL, starts)))
+    The slack block lies before the first of ``solution.starts`` and is left out."""
+    return int(np.count_nonzero(_any_per_segment(np.abs(solution.x) > ACT_TOL, solution.starts)))
 
 
 def count_active_dual(lp: AssembledLP, cert: DualCertificate) -> int:
@@ -457,8 +456,7 @@ def count_active_dual(lp: AssembledLP, cert: DualCertificate) -> int:
     above ``RC_TOL``, hence a positive relaxation value: the count is the
     primal one."""
     grad = -lp.c - cert.lam @ lp.A
-    starts = [start for start, _ in lp.agent_spans]
-    tight = _any_per_segment(np.abs(grad) <= RC_TOL, starts)
+    tight = _any_per_segment(np.abs(grad) <= RC_TOL, lp.starts)
     return int(np.count_nonzero((cert.h > 0.0) | tight))
 
 
@@ -467,7 +465,7 @@ def sensitivity_interval(
 ) -> tuple[float, float, int]:
     """Interval for the probability that a random new agent changes the
     optimum: the table row selected by the observed active-agent count."""
-    m = len(solution.agent_spans)
+    m = solution.starts.size
     if m != table.m:
         raise ValueError(f"table was built for m={table.m}, solution has m={m} agents")
     s_star = count_active_primal(solution)

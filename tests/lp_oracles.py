@@ -191,9 +191,7 @@ def flagged_or_clean_instance(rng: np.random.Generator, shape: str):
     if shape == "price_tie":
         c = lp.c.copy()
         c[lp.n0 :] = rng.uniform(-4.0, -0.5)
-        lp = AssembledLP(
-            A=lp.A, b=lp.b, c=c, d=lp.d, n0=lp.n0, agent_spans=lp.agent_spans
-        )
+        lp = AssembledLP(A=lp.A, b=lp.b, c=c, d=lp.d, n0=lp.n0, starts=lp.starts)
         return lp, solve_primal(lp)
     sol = solve_primal(lp)
     basic_agents = [j for j in sol.partition.basic if j >= lp.n0]
@@ -204,9 +202,7 @@ def flagged_or_clean_instance(rng: np.random.Generator, shape: str):
     elif shape == "vertex":
         x = sol.x.copy()
         x[sol.partition.basic[0]] = 0.0
-        lp = AssembledLP(
-            A=lp.A, b=lp.A @ x, c=lp.c, d=lp.d, n0=lp.n0, agent_spans=lp.agent_spans
-        )
+        lp = AssembledLP(A=lp.A, b=lp.A @ x, c=lp.c, d=lp.d, n0=lp.n0, starts=lp.starts)
     return lp, solve_primal(lp)
 
 

@@ -150,7 +150,7 @@ class TestSolveAugmented:
         lp, _ = toy
         plus = augment(lp, profitable_newcomer())
         assert plus.ell == lp.ell + 1
-        assert plus.agent_spans[-1] == (lp.ell, lp.ell + 1)
+        assert plus.starts.tolist() == lp.starts.tolist() + [lp.ell]
         assert plus.A.tobytes() == np.concatenate([lp.A, [[1.0]]], axis=1).tobytes()
         assert plus.c.tolist() == lp.c.tolist() + [-5.0]
         assert plus.d.tolist() == lp.d.tolist() + [1.0]
@@ -159,13 +159,13 @@ class TestSolveAugmented:
         lp, _ = toy
         with pytest.raises(ValueError, match="2 rows, expected p=1"):
             augment(lp, AgentProfile(n=1, c=[1.0], d=[1.0], A=[[1.0], [1.0]]))
-        # columns past the slacks that no span owns: a newcomer cannot follow
+        # columns past the slacks that no agent owns: a newcomer cannot follow
         bare = AssembledLP(A=lp.A, b=lp.b, c=lp.c, d=lp.d, n0=lp.n0)
-        with pytest.raises(ValueError, match="no agent spans"):
+        with pytest.raises(ValueError, match="no agent starts"):
             augment(bare, profitable_newcomer())
         # with no columns past the slacks, the newcomer is the first agent
         slacks = AssembledLP(A=lp.A[:, :1], b=lp.b, c=lp.c[:1], d=lp.d[:1], n0=1)
-        assert augment(slacks, profitable_newcomer()).agent_spans == ((1, 2),)
+        assert augment(slacks, profitable_newcomer()).starts.tolist() == [1]
 
     def test_objective_never_worse(self, toy):
         lp, sol = toy
@@ -418,7 +418,7 @@ class TestStackedAudit:
             assert solve_bits(plus) == solve_bits(alone)
             assert plus.basis.tobytes() == alone.basis.tobytes()
             assert plus.status.tobytes() == alone.status.tobytes()
-            assert plus.agent_spans == alone.agent_spans
+            assert plus.starts.tolist() == alone.starts.tolist() == augment(lp, nc).starts.tolist()
 
     @pytest.mark.parametrize(
         "name", ["cargo_m100_uniform", "cargo_m200_gaussian", "cargo_m100_two_row"]

@@ -134,7 +134,7 @@ class TestBuildProblem:
             np.testing.assert_array_equal(lp.c, np.concatenate([slack_c, *(ag.c for ag in profiles)]))
             np.testing.assert_array_equal(lp.d, np.concatenate([slack_d, *(ag.d for ag in profiles)]))
             assert lp.n0 == 2
-            assert lp.agent_spans == tuple((2 + i, 3 + i) for i in range(config.m))
+            assert lp.starts.tolist() == [2 + i for i in range(config.m)]
 
 
 class TestRegimes:
@@ -230,7 +230,7 @@ class TestRunTrial:
         lp = assemble(build_problem(config, stream(config.seed, 0, "agents")))
         sol = solve_primal(lp)
         cert = closed_form_certificate(lp, sol)
-        j = lp.agent_spans[95][0]
+        j = lp.starts[95]
         rc = lp.c[j] + sol.lam @ lp.A[:, j]
         assert sol.clean and sol.status[j] == 0 and RC_TOL < rc <= ACT_TOL
         assert count_active_dual(lp, cert) == count_active_primal(sol) == 81

@@ -67,7 +67,7 @@ class TestAssemble:
         assert_allclose(lp.A, [[1.0, 1.0]])
         assert_allclose(lp.c, [0.0, -3.0])
         assert lp.d[0] == np.inf and lp.d[1] == 2.0
-        assert lp.agent_spans == ((1, 2),)
+        assert lp.starts.tolist() == [1]
 
     def test_cargo_mapping(self):
         rho = 900.0
@@ -167,7 +167,7 @@ class TestStackedProblem:
         for x in (a, b):
             assert (x.m, x.ell, x.starts.tolist()) == (2, 4, [0, 2])
             lp = assemble(x)
-            assert lp.agent_spans == ((1, 3), (3, 4))
+            assert lp.starts.tolist() == (x.starts + x.n0).tolist() == [1, 3]
             np.testing.assert_array_equal(lp.A, [[1.0, 1.0, 2.0, 1.0], [0.0, 0.5, 0.25, 1.0]])
             for ag, ref in zip(x.agents, self.PROFILES, strict=True):
                 assert ag.n == ref.n
@@ -180,7 +180,7 @@ class TestStackedProblem:
 
     def test_one_column_per_agent_without_starts(self):
         prob = SharingProblem(p=2, n0=2, b=[3.0, 2.0], agents=self.STACK[:3])
-        assert prob.m == 3 and assemble(prob).agent_spans == ((2, 3), (3, 4), (4, 5))
+        assert prob.m == 3 and assemble(prob).starts.tolist() == [2, 3, 4]
 
     @pytest.mark.parametrize(
         "column, value, message",
@@ -204,6 +204,8 @@ class TestStackedProblem:
             ((c[:2], d, A, starts), "columns"),
             ((c, d, A, [1, 2]), "starts"),
             ((c, d, A, [0, 3]), "starts"),
+            ((c, d, A, [0, 1.5]), "starts"),
+            ((c, d, A, [[0, 2]]), "starts"),
         ]:
             with pytest.raises(ValueError, match=match):
                 SharingProblem(p=2, n0=1, b=[3.0, 2.0], agents=stack)
@@ -249,28 +251,29 @@ class TestAssembledLPInvariants:
             AssembledLP(A=A, b=b, c=c, d=d, n0=0)
 
     @pytest.mark.parametrize(
-        "ell, n0, spans, message",
+        "ell, n0, starts, message",
         [
-            # column 2 would be nobody's, or count_active_primal's agent 0
-            (3, 1, ((1, 2),), "agent span (1, 2) must end at ell=3"),
-            (3, 1, ((2, 3), (1, 2)), "agent span (2, 3) must be nonempty and start at column 1"),
-            (3, 1, ((1, 1), (1, 3)), "agent span (1, 1) must be nonempty and start at column 1"),
+            (3, 1, [2, 1], "starts must be integers beginning at 1 and ascending strictly below 3"),
+            (3, 1, [1, 1], "starts must be integers beginning at 1 and ascending strictly below 3"),
+            (3, 1, [1, 3], "starts must be integers beginning at 1 and ascending strictly below 3"),
+            (3, 1, [1, 1.5], "starts must be integers beginning at 1 and ascending strictly below 3"),
+            (3, 1, [[1, 2]], "starts must be integers beginning at 1 and ascending strictly below 3"),
             (2, 5, (), "n0 must lie in [0, min(p, ell)]=[0, 1], got 5"),
             (2, -1, (), "n0 must lie in [0, min(p, ell)]=[0, 1], got -1"),
         ],
     )
-    def test_spans_must_cover_the_agent_columns(self, ell, n0, spans, message):
+    def test_starts_must_cover_the_agent_columns(self, ell, n0, starts, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AssembledLP(
                 A=np.ones((1, ell)), b=[1.0], c=np.zeros(ell), d=np.ones(ell), n0=n0,
-                agent_spans=spans,
+                starts=starts,
             )
 
-    def test_spans_are_empty_or_cover_the_agent_columns(self):
+    def test_starts_are_empty_or_cover_the_agent_columns(self):
         ones = dict(A=np.ones((1, 3)), b=[1.0], c=np.zeros(3), d=np.ones(3))
-        assert AssembledLP(**ones, n0=0, agent_spans=()).m == 0
-        lp = AssembledLP(**ones, n0=1, agent_spans=np.array([[1, 2], [2, 3]]))
-        assert lp.agent_spans == ((1, 2), (2, 3))
+        assert AssembledLP(**ones, n0=0, starts=()).m == 0
+        lp = AssembledLP(**ones, n0=1, starts=np.array([1, 2]))
+        assert lp.starts.tolist() == [1, 2] and lp.m == 2
 
 
 class TestSolvePrimal:
@@ -483,7 +486,7 @@ class TestWarmStart:
         lp = assemble(toy_problem())
         wide = solve_primal(lp)
         narrow = AssembledLP(
-            A=lp.A[:, :2], b=lp.b, c=lp.c[:2], d=lp.d[:2], n0=1, agent_spans=((1, 2),)
+            A=lp.A[:, :2], b=lp.b, c=lp.c[:2], d=lp.d[:2], n0=1, starts=[1]
         )
         message = "start must partition 2 columns with 1 basic, got 1 basic of 3 indices"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -498,9 +501,7 @@ class TestWarmStart:
         # basic at 1; on a budget of 0.5 that basis puts the other at -1.5
         lp = assemble(toy_problem())
         sol = solve_primal(lp)
-        tighter = AssembledLP(
-            A=lp.A, b=[0.5], c=lp.c, d=lp.d, n0=lp.n0, agent_spans=lp.agent_spans
-        )
+        tighter = AssembledLP(A=lp.A, b=[0.5], c=lp.c, d=lp.d, n0=lp.n0, starts=lp.starts)
         with pytest.raises(InfeasibleStart):
             solve_primal(tighter, start=sol)
 
@@ -929,7 +930,7 @@ class TestAuditAssumptions:
             c=[0.0, -1.0],
             d=[np.inf, 0.0],
             n0=1,
-            agent_spans=((1, 2),),
+            starts=[1],
         )
         sol = solve_primal(lp)
         assert not audit_assumptions(lp, sol).upper_limits_positive
@@ -981,12 +982,12 @@ class TestOracleAgreement:
 
 def permute_agents(lp, order):
     """``lp`` with its agents' column blocks in ``order``, the slacks first."""
-    spans = [lp.agent_spans[i] for i in order]
-    cols = list(range(lp.n0)) + [j for lo, hi in spans for j in range(lo, hi)]
-    ends = np.cumsum([lp.n0] + [hi - lo for lo, hi in spans])
+    blocks = np.split(np.arange(lp.ell), lp.starts)
+    cols = np.concatenate([blocks[0], *(blocks[1 + i] for i in order)])
+    widths = np.diff(lp.starts, append=lp.ell)[order]
     return AssembledLP(
         A=lp.A[:, cols], b=lp.b, c=lp.c[cols], d=lp.d[cols], n0=lp.n0,
-        agent_spans=tuple(zip(ends[:-1].tolist(), ends[1:].tolist())),
+        starts=lp.n0 + np.cumsum(widths) - widths,
     )
 
 
@@ -1010,7 +1011,7 @@ class TestMetamorphicRelations:
             scaled = solve_primal(
                 AssembledLP(
                     A=lp.A * f[:, None], b=lp.b * f, c=lp.c, d=lp.d, n0=lp.n0,
-                    agent_spans=lp.agent_spans,
+                    starts=lp.starts,
                 )
             )
             assert scaled.x.tobytes() == sol.x.tobytes(), seed
@@ -1046,6 +1047,7 @@ class TestStructuralInvariants:
         for _ in range(15):
             lp = assemble(oracle.random_sharing_problem(rng))
             sol = solve_primal(lp)
+            assert sol.starts.tolist() == lp.starts.tolist()
             assert check_basic_solution(lp, sol.x, sol.partition).ok
             # optimality certificate
             r_low, r_up = reduced_costs(lp, sol.partition)
