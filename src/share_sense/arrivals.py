@@ -183,9 +183,9 @@ def solve_augmented(
     scratch.
 
     ``newcomer`` is an ``AgentProfile``, or a stack of K newcomers of one
-    width n as arrays ``(c, d, A)`` of shapes (K, n), (K, n) and (K, p, n),
-    whose values the caller has checked. A stack needs ``base``: its K
-    enlarged LPs are re-solved warm in one lock-step loop
+    width n, ``(c, d, A)`` of shapes (K, n), (K, n) and (K, p, n), taken as
+    float arrays, whose values the caller has checked. A stack needs
+    ``base``: its K enlarged LPs are re-solved warm in one lock-step loop
     (``lp_core.solve_appended``), and their K solutions return stacked, item
     k to the bits of ``solve_augmented(lp, <newcomer k>, base=base)``.
     """
@@ -193,7 +193,7 @@ def solve_augmented(
         return solve_primal(augment(lp, newcomer), start=base)
     if base is None:
         raise ValueError("a stack of newcomers is re-solved warm: pass base")
-    c, d, A = newcomer
+    c, d, A = (np.asarray(v, dtype=float) for v in newcomer)
     if A.ndim != 3 or c.shape != (A.shape[0], A.shape[2]) or d.shape != c.shape:
         raise ValueError(f"newcomer stack has c{c.shape}, d{d.shape} and A{A.shape}")
     _check_append(lp, A.shape[1])
@@ -274,7 +274,7 @@ def empirical_violation_probability(
     if not 0.0 <= audit_fraction <= 1.0:
         raise ValueError(f"audit_fraction must lie in [0, 1], got {audit_fraction}")
     _check_base(solution, allow_flagged)
-    c, d, A = newcomers[:3]
+    c, d, A = (np.asarray(v, dtype=float) for v in newcomers[:3])  # no copy of a float array
     starts = newcomers[3] if len(newcomers) > 3 else None
     del newcomers
     starts = _check_stack(c, d, A, starts, lp.p, "newcomer")

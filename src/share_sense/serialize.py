@@ -101,7 +101,7 @@ def load_instance(source) -> SharingProblem:
             raise ValueError(f"agent {i}: {exc}") from exc
     try:
         return SharingProblem(p=data["p"], n0=data["n0"], b=data["b"], agents=tuple(agents))
-    except (TypeError, OverflowError) as exc:  # e.g. p given as a list, or as 1e400
+    except (TypeError, OverflowError) as exc:  # e.g. b given as an object, or as [10**400]
         raise ValueError(f"instance: {exc}") from exc
 
 

@@ -419,6 +419,7 @@ class TestStackedAudit:
             assert plus.basis.tobytes() == alone.basis.tobytes()
             assert plus.status.tobytes() == alone.status.tobytes()
             assert plus.starts.tolist() == alone.starts.tolist() == augment(lp, nc).starts.tolist()
+        return stacked
 
     @pytest.mark.parametrize(
         "name", ["cargo_m100_uniform", "cargo_m200_gaussian", "cargo_m100_two_row"]
@@ -439,7 +440,8 @@ class TestStackedAudit:
             self.assert_matches_one_at_a_time(lp, sol, newcomers)
 
     def test_vector_family(self):
-        # p=3 rows update the inverse by rank 1 between refactorizations
+        # at p=3 rows the lone re-solve updates its inverse by rank 1, and the
+        # stack re-inverts at every basis change
         from test_vector_family import N, base_problem, draw_agents
 
         for trial in range(4):
@@ -451,6 +453,32 @@ class TestStackedAudit:
                 for j in range(0, N * 40, N)
             ]
             self.assert_matches_one_at_a_time(lp, sol, newcomers)
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_newcomers_replacing_several_basic_columns(self, p):
+        # p inequality rows with room for about 3/8 of 30 one-column agents;
+        # three-column newcomers that pay more push several of them out. The
+        # lone re-solve decides those pivots on a rank-1 updated inverse
+        rng = np.random.default_rng(4000 + p)
+        replaced = []
+        for _ in range(8):
+            A = rng.uniform(0.5, 1.5, (p, 30))
+            agents = (-rng.uniform(1.0, 4.0, 30), rng.uniform(0.5, 1.5, 30), A)
+            lp = assemble(SharingProblem(p=p, n0=p, b=0.375 * A.sum(axis=1), agents=agents))
+            sol = solve_primal(lp)
+            newcomers = [
+                AgentProfile(
+                    n=3,
+                    c=-rng.uniform(2.0, 8.0, 3),
+                    d=rng.uniform(0.5, 1.5, 3),
+                    A=rng.uniform(0.5, 1.5, (p, 3)),
+                )
+                for _ in range(16)
+            ]
+            stacked = self.assert_matches_one_at_a_time(lp, sol, newcomers)
+            replaced += (stacked.basis != sol.basis).sum(axis=1).tolist()
+        # a basis change replaces one basic column, so these LPs made two or more
+        assert sum(k >= 2 for k in replaced) >= 0.8 * len(replaced)
 
     def test_toy_lp(self, toy):
         lp, sol = toy
@@ -619,6 +647,22 @@ class TestEmpiricalViolationProbability:
         assert est_batch.ties == est_loop.ties
         assert est_batch == est_loop
         assert est_batch.audited > 0 and est_batch.audit_mismatches == 0
+
+    def test_stack_of_lists_is_taken_as_arrays(self, toy):
+        # as SharingProblem takes its agents: each part is converted to floats
+        lp, sol = toy
+        assert empirical_violation_probability(lp, sol, ([-5.0], [1.0], [[1.0]])) == (
+            empirical_violation_probability(lp, sol, (np.array([-5.0]), np.ones(1), np.ones((1, 1))))
+        )
+        stack = oracle.stack([profitable_newcomer(), unprofitable_newcomer()] * 4)
+        want = empirical_violation_probability(lp, sol, stack, audit_fraction=1.0)
+        lists = tuple(v.tolist() for v in stack)
+        assert empirical_violation_probability(lp, sol, lists, audit_fraction=1.0) == want
+        assert want.audited == 8
+        arrays = stack_of([profitable_newcomer(), unprofitable_newcomer()] * 2)
+        listed = solve_augmented(lp, tuple(v.tolist() for v in arrays), base=sol)
+        for got, ref in zip(listed, solve_augmented(lp, arrays, base=sol)):
+            assert solve_bits(got) == solve_bits(ref)
 
     def test_audit_resolves_warm_from_the_base(self, toy, monkeypatch):
         lp, sol = toy

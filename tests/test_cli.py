@@ -175,11 +175,21 @@ class TestSerialize:
     @pytest.mark.parametrize(
         "fields, match",
         [
-            ({"p": [1]}, r"instance: int\(\) argument must be"),
-            ({"n0": 1e400}, r"instance: cannot convert float infinity to integer"),
+            ({"p": [1]}, r"^p must be an integer, got \[1\]$"),
+            ({"n0": 1e400}, r"^n0 must be an integer, got inf$"),
+            # an integer field is refused, never cut to an integer
+            ({"n0": 1.9}, r"^n0 must be an integer, got 1.9$"),
+            ({"p": 2.5}, r"^p must be an integer, got 2.5$"),
+            ({"p": 2.0}, r"^p must be an integer, got 2.0$"),
+            ({"p": "2"}, r"^p must be an integer, got '2'$"),
+            ({"p": True}, r"^p must be an integer, got True$"),
             ({"b": {"x": 1}}, r"instance: float\(\) argument must be"),
+            ({"b": [10**400]}, r"instance: int too large to convert to float"),
         ],
-        ids=["list-p", "overflowing-n0", "object-b"],
+        ids=[
+            "list-p", "overflowing-n0", "fractional-n0", "fractional-p", "float-p", "string-p",
+            "bool-p", "object-b", "overflowing-b",
+        ],
     )
     def test_instance_scalar_of_the_wrong_type_is_an_input_error(self, fields, match):
         data = json.loads(json.dumps(TOY_INSTANCE))
@@ -249,6 +259,14 @@ class TestCliSolve:
         assert main(["solve", "--instance", str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "instance is missing ['agents']"}
+
+    def test_fractional_n0_is_an_input_error(self, tmp_path, capsys):
+        # cut to an integer, it would solve silently as the toy instance's n0=1
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(TOY_INSTANCE | {"n0": 1.9}))
+        assert main(["solve", "--instance", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "n0 must be an integer, got 1.9"}
 
     def test_internal_fault_exits_3(self, toy_instance_file, capsys, monkeypatch):
         def crash(args):

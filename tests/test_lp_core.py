@@ -111,6 +111,9 @@ class TestAgentProfileInvariants:
         "n, c, d, A, message",
         [
             (0, [np.nan], [np.nan], [[np.nan]], "agent dimension n must be >= 1"),
+            (1.0, [1.0], [1.0], [[1.0]], "n must be an integer, got 1.0"),
+            (True, [1.0], [1.0], [[1.0]], "n must be an integer, got True"),
+            ("1", [1.0], [1.0], [[1.0]], "n must be an integer, got '1'"),
             (1, [[1.0]], [0.0], [[1.0]], "c must be one-dimensional, got shape (1, 1)"),
             (1, [1.0], [[1.0]], [[1.0]], "d must be one-dimensional, got shape (1, 1)"),
             (1, [np.nan], [0.0], [1.0], "A must be a matrix, got shape (1,)"),
@@ -210,6 +213,29 @@ class TestStackedProblem:
             with pytest.raises(ValueError, match=match):
                 SharingProblem(p=2, n0=1, b=[3.0, 2.0], agents=stack)
 
+    @pytest.mark.parametrize(
+        "p, n0, message",
+        [
+            (0, 0, "resource count p must be >= 1"),
+            (2, 3, "n0 must lie in [0, p]=2, got 3"),
+            (2.5, 1, "p must be an integer, got 2.5"),
+            ("2", 1, "p must be an integer, got '2'"),
+            (True, 1, "p must be an integer, got True"),
+            (2, 1.9, "n0 must be an integer, got 1.9"),
+        ],
+    )
+    def test_counts_must_be_integers(self, p, n0, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SharingProblem(p=p, n0=n0, b=[3.0, 2.0], agents=self.STACK[:3])
+
+    def test_numpy_integer_counts_are_taken(self):
+        prob = SharingProblem(p=np.int64(2), n0=np.uint8(1), b=[3.0, 2.0], agents=self.STACK[:3])
+        assert (type(prob.p), type(prob.n0), prob.p, prob.n0) == (int, int, 2, 1)
+        lp = AssembledLP(A=np.ones((1, 2)), b=[1.0], c=[0.0, 0.0], d=[1.0, 1.0], n0=np.int32(1))
+        assert type(lp.n0) is int and lp.n0 == 1
+        ag = AgentProfile(n=np.int64(1), c=[1.0], d=[1.0], A=[[1.0]])
+        assert type(ag.n) is int and ag.n == 1
+
     def test_profile_of_other_row_count_is_named(self):
         wide = AgentProfile(n=1, c=[-1.0], d=[1.0], A=[[1.0], [1.0], [1.0]])
         with pytest.raises(ValueError, match=r"^agent 2 usage matrix has 3 rows, expected p=2$"):
@@ -260,6 +286,8 @@ class TestAssembledLPInvariants:
             (3, 1, [[1, 2]], "starts must be integers beginning at 1 and ascending strictly below 3"),
             (2, 5, (), "n0 must lie in [0, min(p, ell)]=[0, 1], got 5"),
             (2, -1, (), "n0 must lie in [0, min(p, ell)]=[0, 1], got -1"),
+            (2, 0.5, (), "n0 must be an integer, got 0.5"),
+            (2, False, (), "n0 must be an integer, got False"),
         ],
     )
     def test_starts_must_cover_the_agent_columns(self, ell, n0, starts, message):
